@@ -26,8 +26,8 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Measured-execution bench: real wall-clock speedups of the vectorized
-# kernels and the thread/process backends (docs/execution.md).
+# Measured-execution bench: real wall-clock speedups of the fused
+# closures and the thread/process backends (docs/execution.md).
 bench-exec:
 	$(PYTHON) -m repro bench-exec --out BENCH_execution.json
 

@@ -11,14 +11,14 @@ Commands
 ``lint <kernel.c> [--deep] [--format text|json|sarif]``
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
-``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--vectorize auto|on|off] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
+``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
     Execute the kernel sequentially and pipelined (threaded runtime) and
     report whether the results match, plus the simulated speed-up.
     ``--exec-backend`` additionally runs a *measured* wall-clock execution
     of the generated task program on the chosen backend;
-    ``--vectorize`` controls the whole-block NumPy kernels;
     ``--fuse`` controls fused-closure dispatch (one NumPy call per task,
-    with chain fusion of proven-legal statement sequences);
+    with chain fusion of proven-legal statement sequences; refused
+    statements run the compiled loop);
     ``--tune`` auto-picks task granularity from a calibrated cost model
     (or a measured search); ``--reduce-deps`` transitively reduces the
     depend-in slot lists; ``--privatize`` executes the pattern
@@ -33,8 +33,8 @@ Commands
     profile: measured critical path, per-statement self time,
     simulated-vs-measured makespan divergence and top slack blocks.
 ``bench-exec [--out BENCH_execution.json]``
-    Measured-execution benchmark: compiled-loop vs vectorized sequential
-    vs thread/process backends, including a latency-bound workload.
+    Measured-execution benchmark: compiled-loop vs fused sequential vs
+    fused thread/process backends, including a latency-bound workload.
 ``bench-overhead [--out BENCH_overhead.json]``
     Task-overhead optimizer benchmark: depend-in slot reduction per
     kernel plus tuned-vs-baseline wall times on the latency workload.
@@ -85,19 +85,12 @@ def _parse_params(items: list[str]) -> dict[str, int]:
     return params
 
 
-def _load(
-    path: str,
-    params: dict[str, int],
-    vectorize: str = "auto",
-    fuse: str | None = None,
-):
+def _load(path: str, params: dict[str, int]):
     from .interp import Interpreter
 
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
-    return Interpreter.from_source(
-        source, params, vectorize=vectorize, fuse=fuse
-    )
+    return Interpreter.from_source(source, params)
 
 
 def _read_source(path: str) -> str:
@@ -138,7 +131,6 @@ def _cached_compile(interp, source: str, args, hybrid: bool = False):
         hybrid=hybrid,
         check=False,
         verify=False,
-        vectorize=getattr(args, "vectorize", "auto"),
         fuse=getattr(args, "fuse", None) or "auto",
         workers=getattr(args, "workers", 4),
     )
@@ -406,8 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         source = _read_source(args.kernel)
         interp = Interpreter.from_source(
-            source, _parse_params(args.param),
-            vectorize=args.vectorize, fuse=args.fuse,
+            source, _parse_params(args.param), fuse=args.fuse
         )
 
         priv_plan = None
@@ -558,8 +549,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     source = _read_source(args.kernel)
     interp = Interpreter.from_source(
-        source, _parse_params(args.param),
-        vectorize=args.vectorize, fuse=args.fuse,
+        source, _parse_params(args.param), fuse=args.fuse
     )
     cached = _cached_compile(interp, source, args)
     if cached is not None:
@@ -887,20 +877,13 @@ def build_parser() -> argparse.ArgumentParser:
         "task-overhead and measured-execution series)",
     )
     p_run.add_argument(
-        "--vectorize",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="whole-block NumPy kernels: auto (legal statements), "
-        "on (fail on fallback), off (compiled loops)",
-    )
-    p_run.add_argument(
         "--fuse",
         choices=("auto", "on", "off"),
         default="auto",
         help="fused-closure dispatch: compile statements (and proven "
         "fusion-legal chains) to single NumPy closures executed as one "
         "call per task; auto falls back per statement to the "
-        "vectorized/interpreter paths, on fails on fallback",
+        "compiled loop, on fails on fallback, off runs compiled loops only",
     )
     p_run.add_argument(
         "--tune",
@@ -944,9 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fifo", "lifo", "cp"),
         default="fifo",
         help="simulator scheduling policy for the prediction",
-    )
-    p_profile.add_argument(
-        "--vectorize", choices=("auto", "on", "off"), default="auto"
     )
     p_profile.add_argument(
         "--fuse", choices=("auto", "on", "off"), default="auto"

@@ -3,10 +3,15 @@
 from .compile import (
     COMPOUND_OPS,
     CompiledStatement,
+    NotAffine,
     StatementFn,
     compile_scop,
     compile_statement,
+    elementwise,
     emit_closure_spec,
+    has_flow_self_dependence,
+    is_elementwise,
+    linear_form,
 )
 from .executor import BACKENDS, ExecutionStats, execute_measured
 from .fused import (
@@ -20,6 +25,7 @@ from .fused import (
     closure_source,
     fuse_scop,
     fusion_legal_pair,
+    rectangles,
 )
 from .interp import DEFAULT_FUNCS, Interpreter
 from .privexec import (
@@ -29,17 +35,6 @@ from .privexec import (
     privatized_matches,
 )
 from .store import ArrayStore, ArrayView, SharedArrayStore
-from .vectorize import (
-    NotVectorizable,
-    VectorEntry,
-    VectorProgram,
-    VectorizedStatement,
-    elementwise,
-    is_elementwise,
-    rectangles,
-    vectorize_scop,
-    vectorize_statement,
-)
 
 __all__ = [
     "ArrayStore",
@@ -55,8 +50,8 @@ __all__ = [
     "execute_privatized",
     "privatized_matches",
     "Interpreter",
+    "NotAffine",
     "NotFusable",
-    "NotVectorizable",
     "REDUCTION_IDENTITY",
     "ClosureSpec",
     "FusedKernel",
@@ -69,14 +64,11 @@ __all__ = [
     "fusion_legal_pair",
     "SharedArrayStore",
     "StatementFn",
-    "VectorEntry",
-    "VectorProgram",
-    "VectorizedStatement",
     "compile_scop",
     "compile_statement",
     "elementwise",
+    "has_flow_self_dependence",
     "is_elementwise",
+    "linear_form",
     "rectangles",
-    "vectorize_scop",
-    "vectorize_statement",
 ]

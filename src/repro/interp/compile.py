@@ -5,6 +5,11 @@ executes a *batch* of iterations against an :class:`ArrayStore` — the same
 compiled body is used by the sequential interpreter, the task runtime, and
 the emitted task programs, so all execution paths share identical
 semantics.
+
+The same module lowers statements that pass the whole-block legality
+gate into declarative fused-closure specs (:func:`emit_closure_spec`);
+the gate's helpers — :func:`linear_form`, :func:`has_flow_self_dependence`
+and the :func:`elementwise` marking — live here with it.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from ..lang.ast import ArrayAccess, BinOp, Call, Expr, IntLit, VarRef
 from ..lang.errors import SemanticError
 from ..scop import Scop, ScopStatement
+from ..scop.deps import DepKind, dependence_relation
 from .store import ArrayStore
 
 #: A compiled statement body: (store, funcs, iterations) -> None
@@ -140,16 +148,82 @@ def compile_scop(scop: Scop) -> dict[str, CompiledStatement]:
 
 
 # ----------------------------------------------------------------------
+# whole-block legality helpers
+# ----------------------------------------------------------------------
+def elementwise(fn: Callable) -> Callable:
+    """Mark ``fn`` as safe to call with (broadcastable) array arguments."""
+    fn.elementwise = True  # type: ignore[attr-defined]
+    return fn
+
+
+def is_elementwise(fn: object) -> bool:
+    return isinstance(fn, np.ufunc) or bool(getattr(fn, "elementwise", False))
+
+
+def has_flow_self_dependence(scop: Scop, stmt: ScopStatement) -> bool:
+    """Presburger check: does any iteration read a value a *different*
+    iteration of the same statement wrote?  Such a recurrence forbids
+    whole-block execution — the block would observe pre-block values
+    under gather-before-scatter."""
+    return not dependence_relation(scop, stmt, stmt, DepKind.FLOW).is_empty()
+
+
+class NotAffine(Exception):
+    """A subscript expression has no affine form over the loop variables."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(reason)
+
+
+def linear_form(
+    expr: Expr, loop_vars: tuple[str, ...], params: Mapping[str, int]
+) -> tuple[dict[str, int], int]:
+    """``expr`` as ``sum(coeffs[v] * v) + const`` or raise NotAffine."""
+    if isinstance(expr, IntLit):
+        return {}, expr.value
+    if isinstance(expr, VarRef):
+        if expr.name in loop_vars:
+            return {expr.name: 1}, 0
+        if expr.name in params:
+            return {}, params[expr.name]
+        raise NotAffine(f"unknown variable {expr.name!r} in subscript")
+    if isinstance(expr, BinOp):
+        lc, lk = linear_form(expr.lhs, loop_vars, params)
+        rc, rk = linear_form(expr.rhs, loop_vars, params)
+        if expr.op in ("+", "-"):
+            sign = 1 if expr.op == "+" else -1
+            out = dict(lc)
+            for v, c in rc.items():
+                out[v] = out.get(v, 0) + sign * c
+            return {v: c for v, c in out.items() if c}, lk + sign * rk
+        if expr.op == "*":
+            if not lc:
+                return {v: lk * c for v, c in rc.items() if lk * c}, lk * rk
+            if not rc:
+                return {v: rk * c for v, c in lc.items() if rk * c}, lk * rk
+            raise NotAffine("product of two loop variables in subscript")
+        if expr.op in ("/", "%"):
+            if lc or rc:
+                raise NotAffine(f"loop variable under {expr.op!r} in subscript")
+            if rk == 0:
+                raise NotAffine("division by zero in subscript")
+            return {}, lk // rk if expr.op == "/" else lk % rk
+        raise NotAffine(f"operator {expr.op!r} in subscript")
+    raise NotAffine(f"non-affine subscript {expr!r}")
+
+
+# ----------------------------------------------------------------------
 # declarative closure specs (megakernel fusion front end)
 # ----------------------------------------------------------------------
 def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
     """Lower one statement into a declarative fused-closure spec.
 
-    Applies the PR3 vectorization legality gate — affine slice-form
-    subscripts, positive strides, injective write, the shared Presburger
-    flow self-dependence check, elementwise-only calls — but reports each
-    refusal as :class:`~repro.interp.fused.NotFusable` with a stable
-    RPA06x code so coverage reports can aggregate by cause.  Returns a
+    Applies the whole-block legality gate — affine slice-form subscripts,
+    positive strides, injective write, no Presburger flow
+    self-dependence, elementwise-only calls — and reports each refusal
+    as :class:`~repro.interp.fused.NotFusable` with a stable RPA06x code
+    so coverage reports can aggregate by cause.  Returns a
     :class:`~repro.interp.fused.StatementSpec` (pure data: building the
     closure from it is :func:`~repro.interp.fused.build_closure`'s job).
     """
@@ -157,12 +231,6 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         REDUCTION_IDENTITY,
         NotFusable,
         StatementSpec,
-    )
-    from .vectorize import (
-        NotVectorizable,
-        has_flow_self_dependence,
-        is_elementwise,
-        linear_form,
     )
 
     loop_vars = tuple(stmt.space.dims)
@@ -185,7 +253,7 @@ def emit_closure_spec(scop: Scop, stmt: ScopStatement, funcs=None):
         for k, idx in enumerate(acc.indices):
             try:
                 coeffs, const = linear_form(idx, loop_vars, params)
-            except NotVectorizable as exc:
+            except NotAffine as exc:
                 raise NotFusable(
                     f"{exc.reason} ({acc.array!r})", "RPA062"
                 ) from None

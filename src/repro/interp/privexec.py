@@ -15,8 +15,8 @@ one generated *join task per reduction group*:
 * member blocks are created ``chain=False`` (their mutual order is
   exactly what the verified proof relaxed) and execute against a *proxy*
   store that aliases the accumulator name onto the block's private — the
-  compiled loop bodies and vectorized kernels read
-  ``store.arrays[name]`` and run unchanged;
+  compiled loop bodies and fused closures read ``store.arrays[name]``
+  and run unchanged;
 * the join task folds the privates into the base accumulator in one
   fixed, ascending creation order inside a single task, so all
   privatized backends (serial / threads / processes) produce
@@ -33,14 +33,18 @@ before returning.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..obs import runtime as obs_runtime
 from ..obs.spans import span
-from .executor import BACKEND_ALIASES, BACKENDS, ExecutionStats
+from .executor import (
+    ExecutionStats,
+    dispatch_coverage,
+    make_backend,
+    resolve_backend,
+    run_timed,
+)
 from .interp import Interpreter
 from .store import ArrayStore, ArrayView
 
@@ -101,13 +105,8 @@ def execute_privatized(
     from ..codegen.emit import statement_columns, statement_packers
     from ..schedule import generate_task_ast
     from ..schedule.privatize import join_label
-    from ..tasking import FuturesBackend, ProcessBackend, SerialBackend
 
-    backend = BACKEND_ALIASES.get(backend, backend)
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; choose from {BACKENDS}"
-        )
+    backend = resolve_backend(backend)
     plan.validate()  # tamper guard on the execution path
     if not plan.groups:
         from .executor import execute_measured
@@ -131,29 +130,8 @@ def execute_privatized(
     if store is None:
         store = interp.new_store()
 
-    plan_vec = interp.vector_program if interp.vectorize != "off" else None
     fprog = interp.fused_program if interp.fuse != "off" else None
-    blocks_total = blocks_vec = iters_total = iters_vec = 0
-    blocks_fused = iters_fused = 0
-    dispatch_modes: dict[str, str] = {}
-    for nest in ast.nests:
-        stmt_vec = plan_vec is not None and plan_vec.get(nest.statement) is not None
-        stmt_fused = fprog is not None and fprog.get(nest.statement) is not None
-        dispatch_modes[nest.statement] = (
-            "fused" if stmt_fused else "vectorized" if stmt_vec else "interp"
-        )
-        for block in nest.blocks:
-            size = len(block.iterations)
-            blocks_total += 1
-            iters_total += size
-            if stmt_vec:
-                blocks_vec += 1
-                iters_vec += size
-            if stmt_fused:
-                blocks_fused += 1
-                iters_fused += size
-    fallback = plan_vec.fallback_reasons() if plan_vec is not None else {}
-    fused_fallback = fprog.fallbacks() if fprog is not None else {}
+    coverage = dispatch_coverage(ast, fprog)
 
     # ------------------------------------------------------------------
     # allocate + identity-initialize one private per member block
@@ -180,12 +158,7 @@ def execute_privatized(
             privates[group.array].append(name)
             block_priv[(nest.statement, block.block_id)] = name
 
-    if backend == "serial":
-        system = SerialBackend(write_num)
-    elif backend == "threads":
-        system = FuturesBackend(write_num, workers=workers)
-    else:  # processes
-        system = ProcessBackend(write_num, interp, store, workers=workers)
+    system = make_backend(backend, write_num, interp, store, workers)
 
     def task_body(payload) -> None:
         st = store
@@ -266,7 +239,6 @@ def execute_privatized(
                 statement=join_label(g.array),
             )
 
-    runtime_trace = None
     try:
         with span(
             "exec.privatized",
@@ -275,18 +247,9 @@ def execute_privatized(
             groups=len(plan.groups),
             privates=sum(len(v) for v in privates.values()),
         ):
-            if collect_events:
-                with obs_runtime.collecting(backend, workers) as collector:
-                    start = time.perf_counter()
-                    build_tasks()
-                    result = system.run(workers=workers)
-                    wall = time.perf_counter() - start
-                runtime_trace = collector.trace()
-            else:
-                start = time.perf_counter()
-                build_tasks()
-                result = system.run(workers=workers)
-                wall = time.perf_counter() - start
+            wall, result, runtime_trace = run_timed(
+                system, build_tasks, backend, workers, collect_events
+            )
     finally:
         # the privates are scratch — callers only see program arrays
         for names in privates.values():
@@ -297,20 +260,11 @@ def execute_privatized(
     stats = ExecutionStats(
         backend=backend,
         workers=workers if backend != "serial" else 1,
-        vectorize=interp.vectorize,
         wall_time=wall,
-        blocks_total=blocks_total,
-        blocks_vectorized=blocks_vec,
-        iterations_total=iters_total,
-        iterations_vectorized=iters_vec,
-        fallback_reasons=fallback,
+        fuse=interp.fuse,
         scheduler=scheduler,
         events=runtime_trace,
-        fuse=interp.fuse,
-        blocks_fused=blocks_fused,
-        iterations_fused=iters_fused,
-        dispatch_modes=dispatch_modes,
-        fused_fallback=fused_fallback,
+        **coverage,
         privatization={
             "arrays": list(privates),
             "groups": {g.array: g.group for g in plan.groups},

@@ -81,7 +81,7 @@ class DispatchCostModel:
     instead of assuming one overhead pair fits both.
     """
 
-    #: the interpreter/vectorized ladder (``fuse="off"``)
+    #: compiled-loop dispatch (``fuse="off"``)
     interp: OverheadModel
     #: fused-closure dispatch (``fuse="auto"``/``"on"``)
     fused: OverheadModel
@@ -146,14 +146,10 @@ def calibrate_dispatch(
     """
     from ..interp import Interpreter
 
-    base = Interpreter(
-        interp.program, interp.scop, interp.funcs,
-        vectorize=interp.vectorize, fuse="off",
-    )
-    fused_mode = interp.fuse if interp.fuse not in (None, "off") else "auto"
+    base = Interpreter(interp.program, interp.scop, interp.funcs, fuse="off")
     fused = Interpreter(
         interp.program, interp.scop, interp.funcs,
-        vectorize=interp.vectorize, fuse=fused_mode,
+        fuse="auto" if interp.fuse == "off" else interp.fuse,
     )
     return DispatchCostModel(
         interp=calibrate_overhead(base, info, repeats=repeats),

@@ -26,10 +26,7 @@ def small_workload():
 class TestRunWorkload:
     def test_all_configs_present(self, small_workload):
         assert set(small_workload["runs"]) == {
-            "scalar-serial",
-            "vector-serial",
-            "threads",
-            "processes",
+            "interp-serial",
             "fused-serial",
             "fused-threads",
             "fused-processes",
@@ -40,10 +37,10 @@ class TestRunWorkload:
             name: run["dispatch_mode"]
             for name, run in small_workload["runs"].items()
         }
-        assert modes["scalar-serial"] == "interp"
-        assert modes["vector-serial"] == "vectorized"
+        assert modes["interp-serial"] == "interp"
         # P1 fuses fully, so every fused row dispatches fused closures
         assert modes["fused-serial"] == "fused"
+        assert modes["fused-threads"] == "fused"
         assert modes["fused-processes"] == "fused"
 
     def test_every_config_bit_identical(self, small_workload):
@@ -53,24 +50,22 @@ class TestRunWorkload:
 
     def test_speedups_computed(self, small_workload):
         for key in (
-            "speedup_vectorized",
+            "speedup_fused",
             "speedup_threads",
             "speedup_processes",
-            "processes_vs_vector_serial",
-            "speedup_fused",
-            "fused_vs_vector_serial",
+            "processes_vs_serial",
         ):
             assert small_workload[key] > 0.0
 
     def test_records_are_json_ready(self, small_workload):
         json.dumps(small_workload)
 
-    def test_vector_serial_covers_p1(self, small_workload):
-        assert small_workload["runs"]["vector-serial"][
-            "iteration_coverage"
+    def test_fused_serial_covers_p1(self, small_workload):
+        assert small_workload["runs"]["fused-serial"][
+            "fused_iteration_coverage"
         ] == 1.0
-        assert small_workload["runs"]["scalar-serial"][
-            "iteration_coverage"
+        assert small_workload["runs"]["interp-serial"][
+            "fused_iteration_coverage"
         ] == 0.0
 
 
@@ -116,6 +111,8 @@ class TestFullBench:
         on_disk = json.loads(out.read_text())
         assert on_disk["criteria"] == report["criteria"]
         assert report["criteria"]["all_paths_bit_identical"] is True
+        assert "vectorized_10x_on_P5" not in report["criteria"]
+        assert isinstance(report["criteria"]["fused_10x_on_P5"], bool)
         assert {w["name"] for w in report["workloads"]} == {
             "P1",
             "P5",

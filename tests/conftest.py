@@ -20,13 +20,6 @@ def pytest_addoption(parser):
         "(raise to 200+ for a thorough run)",
     )
     parser.addoption(
-        "--fuzz-vectorize",
-        action="store_true",
-        default=False,
-        help="run the 200-sample vectorized/process execution "
-        "differential campaign (tests/fuzz)",
-    )
-    parser.addoption(
         "--fuzz-reduce",
         action="store_true",
         default=False,
@@ -45,7 +38,8 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the 200-sample fused-closure vs interpreter "
-        "bit-equality differential campaign (tests/fuzz)",
+        "bit-equality differential campaign, every 25th sample also "
+        "on the process backend (tests/fuzz)",
     )
     parser.addoption(
         "--update-goldens",

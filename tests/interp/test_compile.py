@@ -1,8 +1,15 @@
 """Tests for statement compilation."""
 
+import numpy as np
 import pytest
 
-from repro.interp import ArrayStore, Interpreter, compile_statement
+from repro.interp import (
+    ArrayStore,
+    Interpreter,
+    compile_statement,
+    elementwise,
+    is_elementwise,
+)
 from repro.lang import parse
 from repro.scop import extract_scop
 
@@ -148,3 +155,20 @@ class TestInterpreterChecks:
         for row in S.points.points:
             interp.run_block(single, "S", row.reshape(1, -1))
         assert batched.equal(single)
+
+
+class TestElementwiseMarking:
+    def test_decorator_marks(self):
+        fn = elementwise(lambda x: x + 1)
+        assert is_elementwise(fn)
+
+    def test_plain_callable_not_marked(self):
+        assert not is_elementwise(lambda x: x)
+
+    def test_numpy_ufunc_is_elementwise(self):
+        assert is_elementwise(np.sqrt)
+
+    def test_default_funcs_are_elementwise(self):
+        from repro.interp.interp import DEFAULT_FUNCS
+
+        assert all(is_elementwise(f) for f in DEFAULT_FUNCS.values())

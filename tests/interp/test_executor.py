@@ -1,8 +1,8 @@
 """Measured execution: every backend must be bit-identical to sequential.
 
 The acceptance property of the execution layer — P1–P10 run through the
-compiled-loop serial path, the vectorized path, the thread backend and
-the process backend, and every store matches ``run_sequential`` exactly.
+compiled-loop serial path and fused dispatch on the serial, thread and
+process backends, and every store matches ``run_sequential`` exactly.
 """
 
 import pytest
@@ -19,18 +19,18 @@ from tests.conftest import LISTING1
 
 PKERNELS = sorted(TABLE9, key=lambda k: int(k[1:]))
 
-#: (label, backend, vectorize) — the three execution paths plus the
-#: scalar serial baseline they are all compared against.
+#: (label, backend, fuse) — the three backends plus the compiled-loop
+#: serial baseline they are all compared against.
 CONFIGS = (
-    ("scalar-serial", "serial", "off"),
-    ("vector-serial", "serial", "auto"),
-    ("threads", "threads", "auto"),
-    ("processes", "processes", "auto"),
+    ("interp-serial", "serial", "off"),
+    ("fused-serial", "serial", "auto"),
+    ("fused-threads", "threads", "auto"),
+    ("fused-processes", "processes", "auto"),
 )
 
 
 def measured(source, backend, mode, workers=2, coarsen=16):
-    interp = Interpreter.from_source(source, {}, vectorize=mode)
+    interp = Interpreter.from_source(source, {}, fuse=mode)
     info = detect_pipeline(interp.scop, coarsen=coarsen)
     return execute_measured(interp, info, backend=backend, workers=workers)
 
@@ -50,7 +50,7 @@ class TestThreePathBitIdentity:
         interp = Interpreter.from_source(LISTING1, {"N": 12})
         seq = interp.run_sequential(interp.new_store())
         for label, backend, mode in CONFIGS:
-            fresh = Interpreter.from_source(LISTING1, {"N": 12}, vectorize=mode)
+            fresh = Interpreter.from_source(LISTING1, {"N": 12}, fuse=mode)
             info = detect_pipeline(fresh.scop, coarsen=8)
             store, _ = execute_measured(
                 fresh, info, backend=backend, workers=2
@@ -71,20 +71,21 @@ class TestExecutionStats:
         assert stats.workers == 1
         assert stats.wall_time > 0.0
 
-    def test_coverage_full_on_vectorizable_kernel(self):
+    def test_coverage_full_on_fusable_kernel(self):
         src = (
             "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);"
         )
         _, stats = measured(src, "serial", "auto")
         assert stats.blocks_total > 0
-        assert stats.iteration_coverage == 1.0
-        assert stats.block_coverage == 1.0
-        assert stats.fallback_reasons == {}
+        assert stats.fused_iteration_coverage == 1.0
+        assert stats.fused_block_coverage == 1.0
+        assert stats.fused_fallback == {}
 
-    def test_coverage_zero_when_vectorization_off(self):
+    def test_coverage_zero_when_fuse_off(self):
         _, stats = measured(TABLE9["P1"].source(8), "serial", "off")
-        assert stats.blocks_vectorized == 0
-        assert stats.iteration_coverage == 0.0
+        assert stats.blocks_fused == 0
+        assert stats.fused_iteration_coverage == 0.0
+        assert set(stats.dispatch_modes.values()) == {"interp"}
 
     def test_fallback_reasons_recorded(self):
         src = (
@@ -92,8 +93,9 @@ class TestExecutionStats:
             "for(i=1; i<8; i++) R: C[i][0] = g(C[i-1][0], A[i][0]);"
         )
         _, stats = measured(src, "serial", "auto")
-        assert 0.0 < stats.iteration_coverage < 1.0
-        assert "recurrence" in stats.fallback_reasons["R"]
+        assert 0.0 < stats.fused_iteration_coverage < 1.0
+        assert stats.dispatch_modes == {"S": "fused", "R": "interp"}
+        assert "recurrence" in stats.fused_fallback["R"]["reason"]
 
     def test_as_dict_is_json_ready(self):
         import json
@@ -104,11 +106,11 @@ class TestExecutionStats:
         for key in (
             "backend",
             "workers",
-            "vectorize",
+            "fuse",
             "wall_time_s",
             "blocks_total",
-            "iteration_coverage",
-            "fallback_reasons",
+            "fused_iteration_coverage",
+            "fused_fallback",
         ):
             assert key in record
 
@@ -120,7 +122,10 @@ class TestExecutionStats:
     def test_process_scheduler_stats_attached(self):
         _, stats = measured(TABLE9["P3"].source(8), "processes", "auto")
         assert stats.scheduler is not None
-        assert stats.scheduler["tasks"] == stats.blocks_total
+        # merged chain tasks run several member blocks each
+        assert stats.scheduler["tasks"] == (
+            len(stats.task_members) or stats.blocks_total
+        )
         assert stats.scheduler["workers"] == 2
 
     def test_stats_is_frozen(self):

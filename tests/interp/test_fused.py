@@ -24,10 +24,12 @@ from repro.interp import (
     NotFusable,
     build_closure,
     closure_source,
+    elementwise,
     emit_closure_spec,
     execute_measured,
     fuse_scop,
     fusion_legal_pair,
+    rectangles,
 )
 from repro.pipeline import detect_pipeline
 from repro.workloads import TABLE9
@@ -48,26 +50,23 @@ for(i=0; i<N; i++)
     R: H[N-1-i][N-1-j] += B[i][j];
 """
 
-#: (label, backend, vectorize, fuse) — fused against both fallback tiers
-#: plus the pure interpreter baseline, across all three backends.
+#: (label, backend, fuse) — fused dispatch (compiled-loop fallback per
+#: refused statement) against the pure interpreter baseline, across all
+#: three backends.
 CONFIGS = (
-    ("interp-serial", "serial", "off", "off"),
-    ("fused-serial", "serial", "off", "auto"),
-    ("fused-threads", "threads", "off", "auto"),
-    ("fused-processes", "processes", "off", "auto"),
-    ("mixed-serial", "serial", "auto", "auto"),
-    ("mixed-threads", "threads", "auto", "auto"),
+    ("interp-serial", "serial", "off"),
+    ("interp-threads", "threads", "off"),
+    ("fused-serial", "serial", "auto"),
+    ("fused-threads", "threads", "auto"),
+    ("fused-processes", "processes", "auto"),
 )
 
 
-def measured(source, backend, vectorize, fuse, params=None, workers=2,
-             coarsen=16):
+def measured(source, backend, fuse, params=None, workers=2, coarsen=16):
     from repro.pipeline import UncoveredDependenceError
     from repro.scop import DepKind
 
-    interp = Interpreter.from_source(
-        source, params or {}, vectorize=vectorize, fuse=fuse
-    )
+    interp = Interpreter.from_source(source, params or {}, fuse=fuse)
     try:
         info = detect_pipeline(interp.scop, coarsen=coarsen)
     except UncoveredDependenceError:
@@ -78,7 +77,7 @@ def measured(source, backend, vectorize, fuse, params=None, workers=2,
 
 
 # ----------------------------------------------------------------------
-# the three-path battery
+# the bit-identity battery
 # ----------------------------------------------------------------------
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("name", PKERNELS)
@@ -86,8 +85,8 @@ class TestFusedBitIdentity:
         src = TABLE9[name].source(8)
         oracle = Interpreter.from_source(src, {})
         seq = oracle.run_sequential(oracle.new_store())
-        for label, backend, vec, fuse in CONFIGS:
-            store, stats = measured(src, backend, vec, fuse)
+        for label, backend, fuse in CONFIGS:
+            store, stats = measured(src, backend, fuse)
             assert seq.equal(store), f"{name}/{label} diverged"
             assert stats.fuse == fuse
 
@@ -103,14 +102,14 @@ class TestFusedBitIdentity:
     def test_example_all_configs(self, source, params):
         oracle = Interpreter.from_source(source, params)
         seq = oracle.run_sequential(oracle.new_store())
-        for label, backend, vec, fuse in CONFIGS:
+        for label, backend, fuse in CONFIGS:
             store, _ = measured(
-                source, backend, vec, fuse, params=params, coarsen=8
+                source, backend, fuse, params=params, coarsen=8
             )
             assert seq.equal(store), f"{label} diverged"
 
     def test_fused_counters_and_coverage(self):
-        store, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
+        store, stats = measured(TWO_NEST_COPY, "serial", "auto",
                                 params={"N": 8}, coarsen=4)
         assert stats.blocks_fused == stats.blocks_total
         assert stats.fused_block_coverage == 1.0
@@ -123,7 +122,7 @@ class TestFusedBitIdentity:
         assert d["fused_block_coverage"] == 1.0
 
     def test_mixed_program_reports_fallback(self):
-        _, stats = measured(HISTOGRAM, "serial", "off", "auto",
+        _, stats = measured(HISTOGRAM, "serial", "auto",
                             params={"N": 8}, coarsen=8)
         assert stats.dispatch_modes["S"] == "fused"
         assert stats.dispatch_modes["R"] == "interp"
@@ -132,7 +131,7 @@ class TestFusedBitIdentity:
 
     def test_run_block_counters(self):
         interp = Interpreter.from_source(
-            TWO_NEST_COPY, {"N": 6}, vectorize="off", fuse="auto"
+            TWO_NEST_COPY, {"N": 6}, fuse="auto"
         )
         store = interp.new_store()
         iters = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int64)
@@ -142,23 +141,131 @@ class TestFusedBitIdentity:
         assert interp.block_counters["scalar_blocks"] == 0
 
 
+class TestFusedBlockShapes:
+    """Whole-block dispatch of access shapes the closure codegen must
+    slice correctly, bit-identical to the compiled loop."""
+
+    SOURCES = {
+        "identity": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++)"
+            " S: A[i][j] = f(A[i][j], B[i][j]);"
+        ),
+        "anti-shift": (
+            "for(i=0; i<8; i++) for(j=0; j<7; j++)"
+            " S: A[i][j] = f(A[i][j+1], A[i+1][j]);"
+        ),
+        "strided-write": "for(i=0; i<8; i++) S: A[2*i][0] = f(B[i][0]);",
+        "permuted-write": (
+            "for(i=0; i<6; i++) for(j=0; j<6; j++) S: B[j][i] = f(A[i][j]);"
+        ),
+        "iv-expression": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++)"
+            " S: A[i][j] = f(A[i][j]) + 2*i + j - 1;"
+        ),
+        "compound-add": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] += f(B[i][j]);"
+        ),
+        "compound-mul": "for(i=0; i<8; i++) S: A[i][0] *= 2;",
+        "bare-same-array-copy": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = A[i][j];"
+        ),
+        "bounds-division": "for(i=0; i<N/2; i++) S: A[i][0] = f(B[2*i][0]);",
+        "two-statement-chain": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = f(A[i][j]);\n"
+            "for(i=0; i<4; i++) for(j=0; j<4; j++)"
+            " R: B[i][j] = g(A[2*i][2*j], B[i][j]);"
+        ),
+        "custom-elementwise": (
+            "for(i=0; i<8; i++) for(j=0; j<8; j++) S: A[i][j] = sq(A[i][j]);"
+        ),
+    }
+    FUNCS = {"sq": elementwise(lambda x: np.sqrt(x * x + 1.0))}
+
+    @staticmethod
+    def run_blocks(interp):
+        """Every statement as one whole block, in program order."""
+        store = interp.new_store()
+        for stmt in interp.scop.statements:
+            interp.run_block(store, stmt.name, stmt.points.points)
+        return store
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_fused_equals_compiled_loop(self, name):
+        src, params = self.SOURCES[name], {"N": 12}
+        loop = Interpreter.from_source(src, params, self.FUNCS, fuse="off")
+        fused = Interpreter.from_source(src, params, self.FUNCS)
+        expected = self.run_blocks(loop)
+        assert expected.equal(loop.run_sequential(loop.new_store()))
+        got = self.run_blocks(fused)
+        assert expected.equal(got), f"max diff {expected.max_abs_diff(got):g}"
+        assert fused.block_counters["fused_blocks"] > 0
+        assert fused.block_counters["scalar_blocks"] == 0
+
+    def test_refused_statement_runs_compiled_loop(self):
+        src = (
+            "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);\n"
+            "for(i=1; i<8; i++) R: A[i][0] = g(A[i-1][0], A[i][0]);"
+        )
+        loop = Interpreter.from_source(src, {}, fuse="off")
+        fused = Interpreter.from_source(src, {})
+        assert self.run_blocks(loop).equal(self.run_blocks(fused))
+        assert fused.block_counters["fused_blocks"] > 0
+        assert fused.block_counters["scalar_blocks"] > 0
+
+
+class TestRectangles:
+    def test_dense_box_is_one_rectangle(self):
+        pts = np.array([(i, j) for i in range(3) for j in range(4)])
+        assert rectangles(pts) == [((0, 0), (2, 3))]
+
+    def test_single_point(self):
+        assert rectangles(np.array([[5, 7]])) == [((5, 7), (5, 7))]
+
+    def test_one_dimensional_run_split(self):
+        pts = np.array([[0], [1], [2], [5], [6]])
+        assert rectangles(pts) == [((0,), (2,)), ((5,), (6,))]
+
+    def test_ragged_block_covers_exactly(self):
+        # L-shape: full 3x3 square minus its top-right corner.
+        pts = np.array(
+            [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 2)]
+        )
+        covered = set()
+        for lo, hi in rectangles(pts):
+            for i in range(lo[0], hi[0] + 1):
+                for j in range(lo[1], hi[1] + 1):
+                    assert (i, j) not in covered, "rectangles overlap"
+                    covered.add((i, j))
+        assert covered == {tuple(p) for p in pts}
+
+    def test_rectangles_in_lex_order(self):
+        pts = np.array([(i, j) for i in range(4) for j in range(4)
+                        if j != 2 or i > 1])
+        rects = rectangles(pts)
+        assert rects == sorted(rects)
+
+    def test_rejects_flat_input(self):
+        with pytest.raises(ValueError):
+            rectangles(np.array([1, 2, 3]))
+
+
 # ----------------------------------------------------------------------
 # chain fusion
 # ----------------------------------------------------------------------
 class TestChainFusion:
     def test_p5_merges_the_whole_chain(self):
         src = TABLE9["P5"].source(8)
-        _, stats = measured(src, "serial", "off", "auto")
+        _, stats = measured(src, "serial", "auto")
         assert ("S1", "S2", "S3", "S4") in stats.fused_chains
 
     def test_copy_kernel_merges(self):
-        _, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
+        _, stats = measured(TWO_NEST_COPY, "serial", "auto",
                             params={"N": 8}, coarsen=4)
         assert ("S", "T") in stats.fused_chains
 
     def test_listing1_does_not_merge(self):
         # S and R block different domains (N vs N/2) — chain refused.
-        _, stats = measured(LISTING1, "serial", "off", "auto",
+        _, stats = measured(LISTING1, "serial", "auto",
                             params={"N": 12}, coarsen=8)
         assert stats.fused_chains == ()
 
@@ -166,7 +273,7 @@ class TestChainFusion:
         oracle = Interpreter.from_source(TWO_NEST_COPY, {"N": 8})
         seq = oracle.run_sequential(oracle.new_store())
         for backend in ("serial", "threads", "processes"):
-            store, stats = measured(TWO_NEST_COPY, backend, "off", "auto",
+            store, stats = measured(TWO_NEST_COPY, backend, "auto",
                                     params={"N": 8}, coarsen=4)
             assert ("S", "T") in stats.fused_chains
             assert seq.equal(store), f"chained {backend} diverged"
@@ -180,10 +287,10 @@ class TestChainFusion:
         # Profiled runs merge too; stats.task_members maps each merged
         # executor id back to its unfused member tasks so traces can be
         # re-expanded (RuntimeTrace.expand_members).
-        _, stats = measured(TWO_NEST_COPY, "serial", "off", "auto",
+        _, stats = measured(TWO_NEST_COPY, "serial", "auto",
                             params={"N": 8}, coarsen=4)
         interp = Interpreter.from_source(
-            TWO_NEST_COPY, {"N": 8}, vectorize="off", fuse="auto"
+            TWO_NEST_COPY, {"N": 8}, fuse="auto"
         )
         info = detect_pipeline(interp.scop, coarsen=4)
         _, profiled = execute_measured(
@@ -261,23 +368,60 @@ class TestSpecRoundTrip:
 # ----------------------------------------------------------------------
 class TestLegalityGate:
     REFUSALS = {
+        "RPA062": (
+            "for(i=0; i<4; i++) for(j=0; j<4; j++)"
+            " S: B[i][j] = f(A[2*i+j][0]);"
+        ),
         "RPA063": "for(i=0; i<N; i++)\n  S: T[N-1-i] = f(B[i]);",
         "RPA064": (
             "for(i=0; i<N; i++)\n  for(j=0; j<N; j++)\n"
             "    S: A[i][j] = f(B[i][i]);"
         ),
         "RPA065": "for(i=0; i<N; i++)\n  S: s[0] += f(A[i]);",
+        "RPA065-non-injective-write": (
+            "for(i=0; i<4; i++) for(j=0; j<4; j++)"
+            " S: A[i][0] = f(A[i][0], B[i][j]);"
+        ),
         "RPA066": "for(i=1; i<N; i++)\n  S: A[i] = f(A[i-1]);",
+        "RPA066-recurrence": "for(i=0; i<8; i++) S: A[i][0] = f(A[i-1][0]);",
+        "RPA067": "for(i=0; i<8; i++) S: A[i][0] = opaque(B[i][0]);",
+    }
+    ACCEPTED = {
+        "simple-copy": "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);",
+        # reads of *later* iterations are safe under gather-before-scatter
+        "anti-only-dependence": (
+            "for(i=0; i<8; i++) S: A[i][0] = f(A[i+1][0]);"
+        ),
+        "compound-assign": "for(i=0; i<8; i++) S: A[i][0] += B[i][0];",
+        "custom-elementwise-func": (
+            "for(i=0; i<8; i++) S: A[i][0] = twice(B[i][0]);"
+        ),
+    }
+    #: ``opaque`` is an unmarked callable, ``twice`` a marked one
+    FUNCS = {
+        "opaque": lambda x: x,
+        "twice": elementwise(lambda x: x * 2),
     }
 
-    @pytest.mark.parametrize("code", sorted(REFUSALS))
-    def test_refusal_code(self, code):
-        interp = Interpreter.from_source(self.REFUSALS[code], {"N": 8})
+    def spec(self, source):
+        interp = Interpreter.from_source(source, {"N": 8}, self.FUNCS)
+        return emit_closure_spec(
+            interp.scop, interp.scop.statements[0], interp.funcs
+        )
+
+    #: a case is keyed by the code it must raise, plus an optional
+    #: ``-suffix`` naming a second input for the same code
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal_code(self, case):
         with pytest.raises(NotFusable) as err:
-            emit_closure_spec(
-                interp.scop, interp.scop.statements[0], interp.funcs
-            )
-        assert err.value.code == code
+            self.spec(self.REFUSALS[case])
+        assert err.value.code == case.split("-")[0]
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_accepted(self, name):
+        spec = self.spec(self.ACCEPTED[name])
+        assert spec.name == "S"
+        assert build_closure(ClosureSpec((spec,))).source
 
     def test_fuse_on_requires_full_coverage(self):
         with pytest.raises(Exception, match="RPA063"):
@@ -361,7 +505,7 @@ class TestFusedPrivatized:
         from repro.scop import DepKind
 
         interp = Interpreter.from_source(
-            HISTOGRAM, {"N": 8}, vectorize="off", fuse="auto"
+            HISTOGRAM, {"N": 8}, fuse="auto"
         )
         plan = plan_privatization(interp.scop)
         assert plan.groups, "histogram must yield a privatization proof"

@@ -161,7 +161,7 @@ def test_expand_preserves_steal_and_pid():
 # ----------------------------------------------------------------------
 def test_chain_merging_stays_enabled_under_event_collection():
     interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 8}, vectorize="auto", fuse="auto"
+        TWO_NEST_COPY, {"N": 8}, fuse="auto"
     )
     info = detect_pipeline(interp.scop)
     graph = TaskGraph.from_task_ast(generate_task_ast(info))
@@ -183,7 +183,7 @@ def test_chain_merging_stays_enabled_under_event_collection():
 
 def test_profile_run_attributes_merged_chains_per_statement():
     interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 8}, vectorize="auto", fuse="auto"
+        TWO_NEST_COPY, {"N": 8}, fuse="auto"
     )
     info = detect_pipeline(interp.scop)
     graph = TaskGraph.from_task_ast(generate_task_ast(info))

@@ -252,9 +252,55 @@ class TestAbsorbers:
         assert reg.value("execution.blocks_total", **labels) == (
             stats.blocks_total
         )
-        assert reg.value("execution.iteration_coverage", **labels) == (
-            pytest.approx(stats.iteration_coverage, abs=1e-4)
+        assert reg.value("execution.fused_block_coverage", **labels) == (
+            pytest.approx(stats.fused_block_coverage, abs=1e-4)
         )
+
+    def test_execution_metrics_name_the_fused_path(self):
+        from repro.interp import Interpreter, execute_measured
+        from repro.pipeline import detect_pipeline
+        from repro.workloads import TABLE9
+
+        interp = Interpreter.from_source(TABLE9["P5"].source(8), {})
+        info = detect_pipeline(interp.scop, coarsen=8)
+        _, stats = execute_measured(interp, info, backend="serial")
+        reg = MetricsRegistry()
+        absorb_execution(reg, stats)
+        labels = {"backend": "serial"}
+        assert reg.value("execution.fuse", **labels) == "auto"
+        assert reg.value("execution.blocks_fused", **labels) == (
+            reg.value("execution.blocks_total", **labels)
+        )
+        assert reg.value("execution.iterations_fused", **labels) == (
+            stats.iterations_total
+        )
+        assert reg.value("execution.fused_block_coverage", **labels) == 1.0
+        assert reg.value("execution.statements", mode="fused", **labels) == 4
+        assert reg.value("execution.statements", mode="interp", **labels) is None
+        assert not [key for key in reg.as_dict()["gauges"] if "vector" in key]
+
+    def test_execution_metrics_report_fused_refusals(self):
+        from repro.interp import Interpreter, execute_measured
+        from repro.pipeline import detect_pipeline
+
+        src = (
+            "for(i=0; i<8; i++) S: A[i][0] = f(B[i][0]);\n"
+            "for(i=1; i<8; i++) R: C[i][0] = g(C[i-1][0], A[i][0]);"
+        )
+        interp = Interpreter.from_source(src, {})
+        _, stats = execute_measured(
+            interp, detect_pipeline(interp.scop), backend="serial"
+        )
+        reg = MetricsRegistry()
+        absorb_execution(reg, stats)
+        labels = {"backend": "serial"}
+        assert reg.value("execution.statements", mode="fused", **labels) == 1
+        assert reg.value("execution.statements", mode="interp", **labels) == 1
+        reason = reg.value(
+            "execution.fallback_reason", statement="R", code="RPA066",
+            **labels,
+        )
+        assert "recurrence" in reason
 
     def test_task_overhead_numbers_unchanged(self):
         from repro.interp import Interpreter

@@ -32,9 +32,7 @@ def _options(**kw) -> TransformOptions:
 
 
 def _compile(source, params, options, store):
-    interp = Interpreter.from_source(
-        source, params, vectorize=options.vectorize, fuse=options.fuse
-    )
+    interp = Interpreter.from_source(source, params, fuse=options.fuse)
     analysis, status = cached_analysis(
         interp, source, params, options, store
     )

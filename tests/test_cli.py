@@ -127,21 +127,21 @@ class TestRun:
         assert "measured execution:" in out
         assert "measured result matches sequential: True" in out
 
-    def test_exec_backend_threads_vectorize_on(self, kernel_file, capsys):
+    def test_exec_backend_threads_fuse_on(self, kernel_file, capsys):
         assert main([
             "run", kernel_file, "--param", "N=12",
-            "--exec-backend", "threads", "--vectorize", "on",
+            "--exec-backend", "threads", "--fuse", "on",
         ]) == 0
         out = capsys.readouterr().out
-        assert "vectorize=on" in out
-        assert "100% iterations vectorized" in out
+        assert "fuse=on" in out
+        assert "100% fused" in out
 
-    def test_vectorize_off(self, kernel_file, capsys):
+    def test_fuse_off(self, kernel_file, capsys):
         assert main([
             "run", kernel_file, "--param", "N=12",
-            "--exec-backend", "serial", "--vectorize", "off",
+            "--exec-backend", "serial", "--fuse", "off",
         ]) == 0
-        assert "0% iterations vectorized" in capsys.readouterr().out
+        assert "0% fused" in capsys.readouterr().out
 
     def test_bad_exec_backend_rejected(self, kernel_file):
         with pytest.raises(SystemExit):

@@ -119,10 +119,10 @@ class TestOptions:
         result = transform(
             LISTING1,
             {"N": 10},
-            TransformOptions(exec_backend="threads", vectorize="on"),
+            TransformOptions(exec_backend="threads", fuse="on"),
         )
         assert result.verified is True
-        assert result.execution.iteration_coverage == 1.0
+        assert result.execution.fused_iteration_coverage == 1.0
 
     def test_custom_funcs(self):
         result = transform(

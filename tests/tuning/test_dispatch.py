@@ -68,7 +68,7 @@ def test_one_iteration_blocks_lose_under_fused_dispatch():
 @pytest.fixture(scope="module")
 def fused_setup():
     interp = Interpreter.from_source(
-        TWO_NEST_COPY, {"N": 10}, vectorize="auto", fuse="auto"
+        TWO_NEST_COPY, {"N": 10}, fuse="auto"
     )
     return interp, detect_pipeline(interp.scop)
 
