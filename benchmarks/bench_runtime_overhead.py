@@ -1,9 +1,9 @@
 """Per-task overhead of the execution layers.
 
 The granularity discussion (Section 7) hinges on how expensive one task
-is.  These benchmarks measure the bundled layers on no-op tasks: the
-threaded runtime, the CreateTask reference system, and the futures
-backend — giving the abstract `overhead` parameter of the simulator a
+is.  These benchmarks measure the bundled layers on no-op tasks: a task
+graph on the work-stealing scheduler (``run_graph``), the CreateTask
+reference system, and the futures backend — giving the abstract `overhead` parameter of the simulator a
 measured counterpart for this Python substrate.
 """
 
@@ -15,7 +15,7 @@ from repro.tasking import (
     FuturesBackend,
     OmpTaskSystem,
     TaskGraph,
-    execute,
+    run_graph,
 )
 
 N_TASKS = 200
@@ -25,17 +25,19 @@ def chain_graph(n: int) -> TaskGraph:
     g = TaskGraph()
     prev = None
     for k in range(n):
-        tid = g.add_task("S", k, action=lambda: None)
+        tid = g.add_task("S", k)
         if prev is not None:
             g.add_edge(prev, tid)
         prev = tid
     return g
 
 
-def test_threaded_runtime_chain(benchmark):
+def test_run_graph_chain(benchmark):
     """Fully serialized no-op tasks: pure scheduling overhead."""
-    result = benchmark(lambda: execute(chain_graph(N_TASKS), workers=4))
-    assert result.ok
+    stats = benchmark(
+        lambda: run_graph(chain_graph(N_TASKS), lambda t: None, workers=4)
+    )
+    assert stats["tasks"] == N_TASKS
 
 
 def test_omp_task_system(benchmark):
@@ -45,8 +47,8 @@ def test_omp_task_system(benchmark):
             sys_.create_task(lambda p: None, None, out_depend=k, out_idx=0)
         return sys_.run(workers=4)
 
-    result = benchmark(run)
-    assert result.ok
+    stats = benchmark(run)
+    assert stats["tasks"] == N_TASKS
 
 
 def test_futures_backend(benchmark):

@@ -21,7 +21,7 @@ from repro.interp import Interpreter
 from repro.pipeline import compute_pipeline_map, detect_pipeline
 from repro.schedule import build_schedule, generate_task_ast
 from repro.scop import parallel_levels
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute, simulate
+from repro.tasking import TaskGraph, run_graph, simulate
 
 LISTING1 = """
 for(i=0; i<N-1; i++)
@@ -74,8 +74,11 @@ def main() -> None:
     graph = TaskGraph.from_task_ast(ast)
     seq = interp.run_sequential(interp.new_store())
     par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=4)
+    run_graph(
+        graph,
+        lambda t: interp.run_block(par, t.block.statement, t.block.iterations),
+        workers=4,
+    )
     print(f"arrays identical to sequential execution: {seq.equal(par)}")
 
     print("\n=== Simulated quad-core performance ===")

@@ -20,7 +20,7 @@ from repro.bench import (
 from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.schedule import check_legality, generate_task_ast
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute, simulate
+from repro.tasking import TaskGraph, run_graph, simulate
 from repro.workloads import CostModel
 
 N = 24
@@ -57,8 +57,11 @@ def main() -> None:
     print("\n=== Correctness (threaded run vs sequential) ===")
     seq = interp.run_sequential(interp.new_store())
     par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=4)
+    run_graph(
+        graph,
+        lambda t: interp.run_block(par, t.block.statement, t.block.iterations),
+        workers=4,
+    )
     print(f"identical arrays: {seq.equal(par)}")
 
     print("\n=== Simulated schedule (8 workers) ===")

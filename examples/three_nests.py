@@ -55,8 +55,8 @@ def main() -> None:
     print("\n=== Run the generated program through CreateTask ===")
     seq = interp.run_sequential(interp.new_store())
     store = interp.new_store()
-    _, system, result = run_generated(info, interp, store, workers=4)
-    print(f"tasks created: {len(system)}, run ok: {result.ok}, "
+    _, system, stats = run_generated(info, interp, store, workers=4)
+    print(f"tasks created: {len(system)}, tasks run: {stats['tasks']}, "
           f"matches sequential: {seq.equal(store)}")
 
 

@@ -12,7 +12,7 @@ Commands
     Run the AST-level lint rules (``--deep`` adds SCoP validation and the
     pipelinability/task-graph checks); exit 1 on error diagnostics.
 ``run <kernel.c> --param N=32 [--workers 4] [--exec-backend serial|threads|processes] [--fuse auto|on|off] [--tune model|search] [--reduce-deps] [--trace PATH] [--metrics PATH]``
-    Execute the kernel sequentially and pipelined (threaded runtime) and
+    Execute the kernel sequentially and pipelined (work-stealing threads) and
     report whether the results match, plus the simulated speed-up.
     ``--exec-backend`` additionally runs a *measured* wall-clock execution
     of the generated task program on the chosen backend;
@@ -379,9 +379,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .schedule import generate_task_ast
     from .tasking import (
         TaskGraph,
-        bind_interpreter_actions,
-        execute,
         hybrid_task_graph,
+        run_graph,
         simulate,
     )
 
@@ -460,8 +459,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             seq_store = interp.run_sequential(interp.new_store())
             par_store = interp.new_store()
-            bind_interpreter_actions(graph, interp, par_store)
-            execute(graph, workers=args.workers)
+            run_graph(
+                graph,
+                lambda t: interp.run_block(
+                    par_store, t.block.statement, t.block.iterations
+                ),
+                workers=args.workers,
+            )
             match = seq_store.equal(par_store)
 
             sim = simulate(graph, workers=args.workers)

@@ -135,8 +135,9 @@ def run_generated(
 ):
     """Emit, load and execute the generated task program.
 
-    Returns ``(module, system, run_result)``; ``store`` is mutated by the
-    execution exactly like the kernel would mutate its arrays.
+    Returns ``(module, system, stats)`` with the scheduler's statistics;
+    ``store`` is mutated by the execution exactly like the kernel would
+    mutate its arrays.
     """
     ast = generate_task_ast(info)
     source = emit_task_program(info, ast, cost_of_block)
@@ -147,5 +148,5 @@ def run_generated(
         interpreter.compiled[statement](store, interpreter.funcs, iters)
 
     module.build_tasks(system, run_block)
-    result = system.run(workers=workers)
-    return module, system, result
+    stats = system.run(workers=workers)
+    return module, system, stats

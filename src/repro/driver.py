@@ -42,9 +42,8 @@ from .scop import DepKind, Scop
 from .tasking import (
     SimResult,
     TaskGraph,
-    bind_interpreter_actions,
-    execute,
     hybrid_task_graph,
+    run_graph,
     simulate,
 )
 from .workloads import CostModel
@@ -76,8 +75,6 @@ class TransformOptions:
     #: Presburger op cache for this call: True/False forces it on/off,
     #: None keeps the process setting (``REPRO_PRESBURGER_CACHE`` env var)
     presburger_cache: bool | None = None
-    #: LRU capacity override for the Presburger op cache (None keeps it)
-    presburger_cache_size: int | None = None
     #: fused closure kernels: "auto" (default — fuse what's legal, per-
     #: statement fallback to the compiled loop), "on" (fail if any
     #: statement can't fuse), "off" (compiled loops only)
@@ -240,10 +237,7 @@ def transform(
     options = options or TransformOptions()
     from .presburger import cache as presburger_cache
 
-    with presburger_cache.overridden(
-        enabled=options.presburger_cache,
-        maxsize=options.presburger_cache_size,
-    ):
+    with presburger_cache.overridden(enabled=options.presburger_cache):
         return _transform(
             source_or_program, params, options, funcs, cache_dir
         )
@@ -411,8 +405,13 @@ def _finish(
         with span("driver.verify"):
             seq = interp.run_sequential(interp.new_store())
             par = interp.new_store()
-            bind_interpreter_actions(a.graph, interp, par)
-            execute(a.graph, workers=options.workers)
+            run_graph(
+                a.graph,
+                lambda t: interp.run_block(
+                    par, t.block.statement, t.block.iterations
+                ),
+                workers=options.workers,
+            )
             verified = seq.equal(par)
         if not verified:
             raise VerificationFailedError(

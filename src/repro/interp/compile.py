@@ -2,7 +2,7 @@
 
 Each labelled assignment is translated once into a Python function that
 executes a *batch* of iterations against an :class:`ArrayStore` — the same
-compiled body is used by the sequential interpreter, the task runtime, and
+compiled body is used by the sequential interpreter, the task scheduler, and
 the emitted task programs, so all execution paths share identical
 semantics.
 

@@ -2,7 +2,7 @@
 
 Executes a kernel program in its original sequential order against an
 :class:`~repro.interp.store.ArrayStore`.  This is the correctness oracle:
-every transformed execution (task runtime, generated code, any topological
+every transformed execution (task scheduler, generated code, any topological
 order of the task graph) must produce bit-identical arrays.
 """
 

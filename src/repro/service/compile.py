@@ -66,9 +66,8 @@ def options_from_dict(d: Mapping) -> TransformOptions:
             per_iteration=dict(cm.get("per_iteration", {})),
             default=float(cm.get("default", 1.0)),
         )
-    for name in ("privatize_parts", "presburger_cache_size"):
-        if kwargs.get(name) is not None:
-            kwargs[name] = int(kwargs[name])
+    if kwargs.get("privatize_parts") is not None:
+        kwargs["privatize_parts"] = int(kwargs["privatize_parts"])
     return TransformOptions(**kwargs)
 
 

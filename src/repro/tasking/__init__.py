@@ -1,4 +1,4 @@
-"""Tasking layer: task graphs, OpenMP-style depend semantics, runtime, simulator."""
+"""Tasking layer: task graphs, OpenMP-style depend semantics, backends, simulator."""
 
 from .api import OmpTaskSystem
 from .backends import (
@@ -6,15 +6,10 @@ from .backends import (
     ProcessBackend,
     SerialBackend,
     SlotAddressing,
+    run_graph,
 )
 from .dot import to_dot, write_dot
 from .hybrid import hybrid_task_graph, intra_block_edges
-from .runtime import (
-    RunResult,
-    TaskRuntimeError,
-    bind_interpreter_actions,
-    execute,
-)
 from .simulator import SimResult, scaling_curve, sequential_time, simulate
 from .task import CyclicTaskGraphError, Task, TaskGraph
 
@@ -25,15 +20,12 @@ __all__ = [
     "SerialBackend",
     "SlotAddressing",
     "OmpTaskSystem",
-    "RunResult",
     "SimResult",
     "Task",
     "TaskGraph",
-    "TaskRuntimeError",
-    "bind_interpreter_actions",
     "hybrid_task_graph",
     "intra_block_edges",
-    "execute",
+    "run_graph",
     "scaling_curve",
     "sequential_time",
     "simulate",

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .backends import SlotAddressing
-from .runtime import RunResult, execute
+from .backends import SlotAddressing, run_graph
 from .task import TaskGraph
 
 
@@ -45,6 +44,8 @@ class OmpTaskSystem(SlotAddressing):
     def __init__(self, write_num: int):
         self._init_slots(write_num)
         self.graph = TaskGraph()
+        #: ``(func, task_input)`` of each task, indexed by task id
+        self._calls: list[tuple[Callable[[object], None], object]] = []
         self._slots: dict[int, _SlotState] = {}
         self._func_last: dict[object, int] = {}
         self._func_counts: dict[object, int] = {}
@@ -74,12 +75,8 @@ class OmpTaskSystem(SlotAddressing):
         name = statement or getattr(func, "__name__", "task")
         count = self._func_counts.get(func, 0)
         self._func_counts[func] = count + 1
-        tid = self.graph.add_task(
-            statement=name,
-            block_id=count,
-            cost=cost,
-            action=(lambda: func(task_input)),
-        )
+        tid = self.graph.add_task(statement=name, block_id=count, cost=cost)
+        self._calls.append((func, task_input))
 
         # depend(in: dependArr[write_num*in_depend[k] + in_idx[k]])
         for d, ix in zip(in_depend, in_idx):
@@ -109,9 +106,18 @@ class OmpTaskSystem(SlotAddressing):
         return tid
 
     # ------------------------------------------------------------------
-    def run(self, workers: int = 4) -> RunResult:
-        """Launch the created tasks (the ``omp parallel`` + ``single`` part)."""
-        return execute(self.graph, workers)
+    def run(self, workers: int = 4) -> dict:
+        """Launch the created tasks (the ``omp parallel`` + ``single`` part).
+
+        Runs :attr:`graph` on the work-stealing scheduler
+        (:func:`~repro.tasking.backends.run_graph`); returns its stats.
+        """
+
+        def body(task) -> None:
+            func, task_input = self._calls[task.task_id]
+            func(task_input)
+
+        return run_graph(self.graph, body, workers)
 
     def __len__(self) -> int:
         return len(self.graph)

@@ -16,9 +16,12 @@ module demonstrates that: three backends implement the same
   per-worker deques (LIFO locally for cache affinity, FIFO steals),
   integer dependency counters and a dependents adjacency list, so
   readiness tracking is O(edges) overall instead of one blocked pool
-  slot per task waiting on futures.
-* :class:`ProcessBackend` — executes task blocks in a persistent
-  :class:`concurrent.futures.ProcessPoolExecutor` against a
+  slot per task waiting on futures.  The same scheduler runs a whole
+  :class:`~repro.tasking.task.TaskGraph` through :func:`run_graph` —
+  it is the only thread scheduler in the tasking layer.
+* :class:`ProcessBackend` — executes task blocks in a
+  :class:`concurrent.futures.ProcessPoolExecutor` (started and shut
+  down by each :meth:`ProcessBackend.run`) against a
   :class:`~repro.interp.store.SharedArrayStore`, the closest Python
   analogue of the paper's OpenMP runtime actually running on cores.
   Task *creation* only records the block and its dependency slots;
@@ -28,10 +31,12 @@ module demonstrates that: three backends implement the same
   kernel-specific is pickled per task — workers rebuild the interpreter
   once from a spec and receive ``(statement, iterations)`` pairs.
 
-Dependency bookkeeping is identical across backends (and
-:class:`OmpTaskSystem`): an *in* slot waits for the slot's last writer,
-and tasks created from the same function pointer chain sequentially
-(the ``funcCount`` trick of Figure 8).
+Dependency bookkeeping is identical across the recording backends
+(:meth:`SlotAddressing._resolve_deps`): an *in* slot waits for the
+slot's last writer, and tasks created from the same function pointer
+chain sequentially (the ``funcCount`` trick of Figure 8).
+:class:`OmpTaskSystem` keeps the full OpenMP ``depend`` recorder as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..obs import runtime as obs_runtime
+from .task import Task, TaskGraph
 
 
 class SlotAddressing:
@@ -72,6 +78,8 @@ class SlotAddressing:
         if write_num < 1:
             raise ValueError("write_num must be positive")
         self.write_num = write_num
+        self._slot_writer: dict[int, int] = {}
+        self._chain_last: dict[object, int] = {}
 
     def slot(self, depend: int, idx: int) -> int:
         """The ``dependArr`` address of a dependency token (Figure 8)."""
@@ -80,6 +88,48 @@ class SlotAddressing:
                 f"idx {idx} out of range for write_num {self.write_num}"
             )
         return self.write_num * depend + idx
+
+    def _resolve_deps(
+        self,
+        tid: int,
+        out_depend: int,
+        out_idx: int,
+        in_depend: Sequence[int],
+        in_idx: Sequence[int],
+        chain_key: object | None,
+    ) -> set[int]:
+        """Producer task ids task ``tid`` waits for, duplicates collapsed.
+
+        An *in* slot resolves to its last writer; ``chain_key`` (None: no
+        chain) links the task to the previous one created with the same
+        key.  Records ``tid`` as the writer of its *out* slot.
+        """
+        if len(in_depend) != len(in_idx):
+            raise ValueError("in_depend and in_idx must have equal length")
+        deps: set[int] = set()
+        for d, ix in zip(in_depend, in_idx):
+            writer = self._slot_writer.get(self.slot(d, ix))
+            if writer is not None:
+                deps.add(writer)
+        if chain_key is not None:
+            prev_same = self._chain_last.get(chain_key)
+            if prev_same is not None:
+                deps.add(prev_same)
+            self._chain_last[chain_key] = tid
+        self._slot_writer[self.slot(out_depend, out_idx)] = tid
+        return deps
+
+
+def _dependency_counters(
+    deps: Sequence[set[int]],
+) -> tuple[list[int], list[list[int]]]:
+    """Remaining-dependency counters and the dependents adjacency."""
+    counts = [len(d) for d in deps]
+    dependents: list[list[int]] = [[] for _ in deps]
+    for tid, ds in enumerate(deps):
+        for d in ds:
+            dependents[d].append(tid)
+    return counts, dependents
 
 
 class SerialBackend(SlotAddressing):
@@ -132,33 +182,163 @@ class SerialBackend(SlotAddressing):
 
 @dataclass
 class _RecordedCall:
-    """One recorded thread task: the callable, its payload and dep counters."""
+    """One recorded thread task: the callable, its payload and its deps."""
 
-    tid: int
     func: Callable[[object], None]
     payload: object
-    deps: set[int] = field(default_factory=set)
-    cost: float = 1.0
+    deps: set[int]
     statement: str | None = None
 
 
+def _work_steal(
+    deps: Sequence[set[int]],
+    call: Callable[[int], None],
+    label: Callable[[int], str],
+    workers: int,
+) -> dict:
+    """Run ``call(tid)`` once per task, each after all of ``deps[tid]``.
+
+    Each worker owns a deque, pushes newly ready dependents locally
+    (LIFO — the freshest task's data is hot) and steals oldest-first
+    from siblings when drained.  Readiness is an integer
+    remaining-dependency counter per task, decremented as predecessors
+    finish — no future chaining, no slot scans, no threads parked on
+    ``wait()``.  A task failure stops dispatch, leaves every transitive
+    dependent unexecuted and re-raises once every worker has joined.
+    Returns the scheduling statistics.
+    """
+    n = len(deps)
+    nworkers = max(1, min(workers, n))
+    counts, dependents = _dependency_counters(deps)
+
+    queues = [deque() for _ in range(nworkers)]
+    for k, tid in enumerate(t for t in range(n) if not counts[t]):
+        queues[k % nworkers].append(tid)
+
+    cv = threading.Condition()
+    state = {
+        "pending": n,
+        "executed": 0,
+        "steals": 0,
+        "failure": None,
+    }
+
+    collector = obs_runtime.current()
+
+    def acquire(me: int) -> tuple[int, bool] | None:
+        """``(task id, stolen)`` for worker ``me``; None to shut down."""
+        if queues[me]:
+            return queues[me].pop(), False  # own deque, LIFO
+        for k in range(1, nworkers):
+            victim = queues[(me + k) % nworkers]
+            if victim:
+                state["steals"] += 1
+                return victim.popleft(), True  # steal oldest-first
+        return None
+
+    def worker(me: int) -> None:
+        done: int | None = None
+        while True:
+            with cv:
+                if done is not None:
+                    state["pending"] -= 1
+                    state["executed"] += 1
+                    for d in dependents[done]:
+                        counts[d] -= 1
+                        if counts[d] == 0:
+                            queues[me].append(d)
+                    if state["pending"] == 0 or len(queues[me]) > 1:
+                        cv.notify_all()
+                    done = None
+                while True:
+                    if state["failure"] is not None or state["pending"] == 0:
+                        return
+                    acquired = acquire(me)
+                    if acquired is not None:
+                        tid, stolen = acquired
+                        break
+                    cv.wait()
+                if collector is not None:
+                    collector.queue_sample(me, len(queues[me]))
+            t0 = collector.now_ns() if collector is not None else 0
+            try:
+                call(tid)
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                with cv:
+                    if state["failure"] is None:
+                        state["failure"] = exc
+                    cv.notify_all()
+                return
+            if collector is not None:
+                collector.record(
+                    tid,
+                    label(tid),
+                    worker=me,
+                    start_ns=t0,
+                    end_ns=collector.now_ns(),
+                    stolen=stolen,
+                )
+            done = tid
+
+    threads = [
+        threading.Thread(target=worker, args=(k,), name=f"repro-ws-{k}")
+        for k in range(nworkers)
+    ]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+
+    if state["failure"] is not None:
+        raise state["failure"]
+    if state["executed"] != n:
+        raise RuntimeError(
+            f"scheduler stalled: {state['executed']}/{n} tasks ran "
+            "(dependency cycle in recorded tasks?)"
+        )
+    if collector is not None:
+        collector.count("tasks", n)
+        collector.count("steals", state["steals"])
+    return {
+        "policy": "work-stealing",
+        "tasks": n,
+        "workers": nworkers,
+        "steals": state["steals"],
+    }
+
+
+def run_graph(
+    graph: TaskGraph, body: Callable[[Task], None], workers: int = 4
+) -> dict:
+    """Run ``body(task)`` once per task of ``graph`` on the work-stealing
+    scheduler, honouring exactly ``graph.preds``.
+
+    A cycle raises :class:`~repro.tasking.task.CyclicTaskGraphError`
+    before any task runs; a raising ``body`` re-raises its own exception
+    after every worker has joined.  Returns the scheduling statistics.
+    """
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    graph.validate()
+    tasks = graph.tasks
+    return _work_steal(
+        graph.preds,
+        lambda tid: body(tasks[tid]),
+        lambda tid: tasks[tid].statement,
+        workers,
+    )
+
+
 class FuturesBackend(SlotAddressing):
-    """Thread backend with batched work-stealing dispatch.
+    """Thread backend over the work-stealing scheduler.
 
     ``create_task`` only records the call and resolves its dependency
-    slots to producing task ids (slot-writer table plus the same-function
-    self chain, duplicates collapsed).  :meth:`run` then executes the
-    graph on ``workers`` threads: each worker owns a deque, pushes newly
-    ready dependents locally (LIFO — the freshest task's data is hot) and
-    steals oldest-first from siblings when drained.  Readiness is an
-    integer remaining-dependency counter per task, decremented as
-    predecessors finish — no future chaining, no slot scans, no pool
-    threads parked on ``wait()``.
-
-    A task failure stops dispatch, leaves every transitive dependent
-    unexecuted and re-raises from :meth:`run` after the workers drained.
-    Scheduling statistics land in :attr:`stats` (also returned by
-    :meth:`run`).
+    slots to producing task ids (:meth:`SlotAddressing._resolve_deps`,
+    chained per function).  :meth:`run` then executes the recorded graph
+    on ``workers`` threads with the work-stealing scheduler of
+    :func:`run_graph`.  A task failure re-raises from :meth:`run` after
+    the workers drained.  Scheduling statistics land in :attr:`stats`
+    (also returned by :meth:`run`).
     """
 
     def __init__(self, write_num: int, workers: int = 4):
@@ -167,8 +347,6 @@ class FuturesBackend(SlotAddressing):
             raise ValueError("workers must be positive")
         self.workers = workers
         self._tasks: list[_RecordedCall] = []
-        self._slot_writer: dict[int, int] = {}
-        self._chain_last: dict[object, int] = {}
         self.stats: dict | None = None
 
     def create_task(
@@ -183,130 +361,26 @@ class FuturesBackend(SlotAddressing):
         statement: str | None = None,
         chain: bool = True,
     ) -> int:
-        if len(in_depend) != len(in_idx):
-            raise ValueError("in_depend and in_idx must have equal length")
+        del cost  # dispatch order comes from the work-stealing deques
         tid = len(self._tasks)
-        task = _RecordedCall(tid, func, task_input, cost=cost, statement=statement)
-        for d, ix in zip(in_depend, in_idx):
-            writer = self._slot_writer.get(self.slot(d, ix))
-            if writer is not None:
-                task.deps.add(writer)
-        if chain:
-            prev_same = self._chain_last.get(func)
-            if prev_same is not None:
-                task.deps.add(prev_same)
-            self._chain_last[func] = tid
-        self._slot_writer[self.slot(out_depend, out_idx)] = tid
-        self._tasks.append(task)
+        deps = self._resolve_deps(
+            tid, out_depend, out_idx, in_depend, in_idx,
+            func if chain else None,
+        )
+        self._tasks.append(_RecordedCall(func, task_input, deps, statement))
         return tid
 
     def run(self, workers: int = 0) -> dict:
         """Execute every recorded task; returns scheduling statistics."""
         del workers  # worker count fixed at construction
-        n = len(self._tasks)
-        nworkers = max(1, min(self.workers, n))
-        counts = [len(t.deps) for t in self._tasks]
-        dependents: list[list[int]] = [[] for _ in range(n)]
-        for t in self._tasks:
-            for d in t.deps:
-                dependents[d].append(t.tid)
-
-        queues = [deque() for _ in range(nworkers)]
-        for k, t in enumerate(t for t in self._tasks if not t.deps):
-            queues[k % nworkers].append(t.tid)
-
-        cv = threading.Condition()
-        state = {
-            "pending": n,
-            "executed": 0,
-            "steals": 0,
-            "failure": None,
-        }
-
-        collector = obs_runtime.current()
-
-        def acquire(me: int) -> tuple[int, bool] | None:
-            """``(task id, stolen)`` for worker ``me``; None to shut down."""
-            if queues[me]:
-                return queues[me].pop(), False  # own deque, LIFO
-            for k in range(1, nworkers):
-                victim = queues[(me + k) % nworkers]
-                if victim:
-                    state["steals"] += 1
-                    return victim.popleft(), True  # steal oldest-first
-            return None
-
-        def worker(me: int) -> None:
-            done: int | None = None
-            while True:
-                with cv:
-                    if done is not None:
-                        state["pending"] -= 1
-                        state["executed"] += 1
-                        for d in dependents[done]:
-                            counts[d] -= 1
-                            if counts[d] == 0:
-                                queues[me].append(d)
-                        if state["pending"] == 0 or len(queues[me]) > 1:
-                            cv.notify_all()
-                        done = None
-                    while True:
-                        if state["failure"] is not None or state["pending"] == 0:
-                            return
-                        acquired = acquire(me)
-                        if acquired is not None:
-                            tid, stolen = acquired
-                            break
-                        cv.wait()
-                    if collector is not None:
-                        collector.queue_sample(me, len(queues[me]))
-                task = self._tasks[tid]
-                t0 = collector.now_ns() if collector is not None else 0
-                try:
-                    task.func(task.payload)
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
-                    with cv:
-                        if state["failure"] is None:
-                            state["failure"] = exc
-                        cv.notify_all()
-                    return
-                if collector is not None:
-                    collector.record(
-                        tid,
-                        task.statement
-                        or getattr(task.func, "__name__", "task"),
-                        worker=me,
-                        start_ns=t0,
-                        end_ns=collector.now_ns(),
-                        stolen=stolen,
-                    )
-                done = tid
-
-        threads = [
-            threading.Thread(target=worker, args=(k,), name=f"repro-ws-{k}")
-            for k in range(nworkers)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-
-        if state["failure"] is not None:
-            raise state["failure"]
-        if state["executed"] != n:
-            raise RuntimeError(
-                f"scheduler stalled: {state['executed']}/{n} tasks ran "
-                "(dependency cycle in recorded tasks?)"
-            )
-        self.stats = {
-            "policy": "work-stealing",
-            "tasks": n,
-            "workers": nworkers,
-            "steals": state["steals"],
-        }
-        if collector is not None:
-            collector.count("tasks", n)
-            collector.count("steals", state["steals"])
+        tasks = self._tasks
+        self.stats = _work_steal(
+            [t.deps for t in tasks],
+            lambda tid: tasks[tid].func(tasks[tid].payload),
+            lambda tid: tasks[tid].statement
+            or getattr(tasks[tid].func, "__name__", "task"),
+            self.workers,
+        )
         return self.stats
 
     def __len__(self) -> int:
@@ -422,11 +496,9 @@ def _process_worker_run_batch(items, collect: bool = False):
 
 @dataclass
 class _RecordedTask:
-    tid: int
     statement: str
     iterations: list[tuple[int, ...]]
-    deps: set[int] = field(default_factory=set)
-    cost: float = 1.0
+    deps: set[int]
     #: accumulator name -> private buffer name (privatized blocks)
     remap: dict[str, str] | None = None
     #: join-task payload ({"array", "group", "privates"}); no block runs
@@ -437,11 +509,13 @@ class _RecordedTask:
 
 
 class ProcessBackend(SlotAddressing):
-    """Persistent worker processes over a shared-memory array store.
+    """Worker processes over a shared-memory array store.
 
     Implements the CreateTask signature, but ``create_task`` only records
-    blocks — :meth:`run` attaches a :class:`SharedArrayStore`, starts the
-    pool, and dispatches *ready batches* as dependency counters drain.
+    blocks — each :meth:`run` attaches a :class:`SharedArrayStore`, starts
+    a fresh pool, dispatches *ready batches* as dependency counters drain
+    and shuts the pool down again.  Dependencies resolve like
+    :class:`FuturesBackend`'s, chained per statement name.
     Task payloads are *not* pickled (generated modules pass unpicklable
     closures); only ``(statement, iterations)`` crosses the process
     boundary, and each worker executes it with its own compiled
@@ -474,8 +548,6 @@ class ProcessBackend(SlotAddressing):
         self.workers = workers
         self._mp_context = mp_context
         self._tasks: list[_RecordedTask] = []
-        self._slot_writer: dict[int, int] = {}
-        self._chain_last: dict[str, int] = {}
 
     def create_task(
         self,
@@ -489,8 +561,7 @@ class ProcessBackend(SlotAddressing):
         statement: str | None = None,
         chain: bool = True,
     ) -> int:
-        if len(in_depend) != len(in_idx):
-            raise ValueError("in_depend and in_idx must have equal length")
+        del cost  # dispatch order comes from the ready batches
         if statement is None:
             raise ValueError(
                 "ProcessBackend requires statement= on every task "
@@ -504,26 +575,20 @@ class ProcessBackend(SlotAddressing):
         iters = task_input["iters"]
         rows = iters.tolist() if hasattr(iters, "tolist") else iters
         tid = len(self._tasks)
-        task = _RecordedTask(
-            tid,
-            statement,
-            [tuple(int(v) for v in row) for row in rows],
-            cost=cost,
-            remap=task_input.get("remap"),
-            combine=task_input.get("combine"),
-            rects=task_input.get("rects"),
+        deps = self._resolve_deps(
+            tid, out_depend, out_idx, in_depend, in_idx,
+            statement if chain else None,
         )
-        for d, ix in zip(in_depend, in_idx):
-            writer = self._slot_writer.get(self.slot(d, ix))
-            if writer is not None:
-                task.deps.add(writer)
-        if chain:
-            prev_same = self._chain_last.get(statement)
-            if prev_same is not None:
-                task.deps.add(prev_same)
-            self._chain_last[statement] = tid
-        self._slot_writer[self.slot(out_depend, out_idx)] = tid
-        self._tasks.append(task)
+        self._tasks.append(
+            _RecordedTask(
+                statement,
+                [tuple(int(v) for v in row) for row in rows],
+                deps,
+                remap=task_input.get("remap"),
+                combine=task_input.get("combine"),
+                rects=task_input.get("rects"),
+            )
+        )
         return tid
 
     # ------------------------------------------------------------------
@@ -583,14 +648,11 @@ class ProcessBackend(SlotAddressing):
         front splits evenly across the pool while narrow fronts keep
         single-block latency.
         """
-        counts = [len(t.deps) for t in self._tasks]
-        dependents: list[list[int]] = [[] for _ in self._tasks]
-        for t in self._tasks:
-            for d in t.deps:
-                dependents[d].append(t.tid)
-
+        counts, dependents = _dependency_counters(
+            [t.deps for t in self._tasks]
+        )
         ready: deque[int] = deque(
-            t.tid for t in self._tasks if not t.deps
+            tid for tid, c in enumerate(counts) if not c
         )
         collector = obs_runtime.current()
         in_flight: dict[Future, tuple[list[int], int]] = {}

@@ -32,7 +32,6 @@ class Task:
     block_id: int
     cost: float = 1.0
     block: TaskBlock | None = None
-    action: Callable[[], None] | None = None
 
     def __str__(self) -> str:
         return f"Task#{self.task_id}({self.statement}/{self.block_id}, cost={self.cost:g})"
@@ -57,10 +56,9 @@ class TaskGraph:
         block_id: int,
         cost: float = 1.0,
         block: TaskBlock | None = None,
-        action: Callable[[], None] | None = None,
     ) -> int:
         tid = len(self.tasks)
-        self.tasks.append(Task(tid, statement, block_id, cost, block, action))
+        self.tasks.append(Task(tid, statement, block_id, cost, block))
         self.preds.append(set())
         self.succs.append(set())
         return tid

@@ -56,8 +56,8 @@ class TestGeneratedExecution:
         info = detect_pipeline(interp.scop)
         seq = interp.run_sequential(interp.new_store())
         store = interp.new_store()
-        _, system, result = run_generated(info, interp, store, workers)
-        assert result.ok
+        _, system, stats = run_generated(info, interp, store, workers)
+        assert stats["tasks"] == len(system)
         assert seq.equal(store)
 
     def test_three_nests(self, listing3_interp):
@@ -65,8 +65,8 @@ class TestGeneratedExecution:
         info = detect_pipeline(interp.scop)
         seq = interp.run_sequential(interp.new_store())
         store = interp.new_store()
-        _, system, result = run_generated(info, interp, store, workers=4)
-        assert result.ok and seq.equal(store)
+        _, system, stats = run_generated(info, interp, store, workers=4)
+        assert stats["tasks"] == len(system) and seq.equal(store)
         assert len(system) == info.num_tasks()
 
     def test_generated_for_pkernel(self):
@@ -77,8 +77,8 @@ class TestGeneratedExecution:
         info = detect_pipeline(interp.scop)
         seq = interp.run_sequential(interp.new_store())
         store = interp.new_store()
-        _, _, result = run_generated(info, interp, store, workers=3)
-        assert result.ok and seq.equal(store)
+        _, system, stats = run_generated(info, interp, store, workers=3)
+        assert stats["tasks"] == len(system) and seq.equal(store)
 
     def test_generated_deterministic_across_runs(self, listing1_interp):
         interp = listing1_interp

@@ -62,6 +62,16 @@ def pytest_collection_modifyitems(config, items):
 from repro.interp import Interpreter
 from repro.scop import extract_scop
 from repro.lang import parse
+from repro.tasking import run_graph
+
+
+def run_blocks(graph, interp, store, workers: int = 4) -> dict:
+    """Run each task's block of ``graph`` against ``store`` on threads."""
+    return run_graph(
+        graph,
+        lambda t: interp.run_block(store, t.block.statement, t.block.iterations),
+        workers,
+    )
 
 LISTING1 = """
 for(i=0; i<N-1; i++)

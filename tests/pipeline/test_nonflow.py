@@ -12,7 +12,8 @@ from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
 from repro.scop import DepKind
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute
+from repro.tasking import TaskGraph
+from tests.conftest import run_blocks
 
 ANTI_KERNEL = """
 for(i=0; i<12; i++)
@@ -42,8 +43,7 @@ def run_both(source: str, kinds: tuple[DepKind, ...]):
     graph = TaskGraph.from_task_ast(generate_task_ast(info))
     seq = interp.run_sequential(interp.new_store())
     par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=4)
+    run_blocks(graph, interp, par)
     return seq, par, info
 
 

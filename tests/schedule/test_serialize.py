@@ -12,8 +12,8 @@ from repro.schedule import (
     loads_task_ast,
     save_task_ast,
 )
-from repro.tasking import TaskGraph, bind_interpreter_actions, execute
-from tests.conftest import LISTING1, LISTING3
+from repro.tasking import TaskGraph
+from tests.conftest import LISTING1, LISTING3, run_blocks
 
 
 def make_ast(source, params):
@@ -51,8 +51,7 @@ class TestRoundTrip:
         graph = TaskGraph.from_task_ast(load_task_ast(path))
         seq = interp.run_sequential(interp.new_store())
         par = interp.new_store()
-        bind_interpreter_actions(graph, interp, par)
-        execute(graph, workers=4)
+        run_blocks(graph, interp, par)
         assert seq.equal(par)
 
     def test_version_checked(self, tmp_path):

@@ -62,7 +62,6 @@ _FLIPS = {
     "overhead": 0.5,
     "cost_model": CostModel(per_iteration={"S": 7.0}, default=2.0),
     "presburger_cache": True,
-    "presburger_cache_size": 123,
     "fuse": "off",
     "exec_backend": "serial",
     "reduce_deps": True,

@@ -98,8 +98,8 @@ class TestExecution:
 
         sys_.create_task(f, "a", 0, 0)
         sys_.create_task(f, "b", 1, 0, in_depend=[0], in_idx=[0])
-        result = sys_.run(workers=2)
-        assert result.ok
+        stats = sys_.run(workers=2)
+        assert stats["tasks"] == 2
         assert seen == ["a", "b"]  # self-chain + RAW force order
 
     def test_len(self):

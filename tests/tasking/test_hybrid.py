@@ -8,13 +8,12 @@ from repro.pipeline import detect_pipeline
 from repro.schedule import generate_task_ast
 from repro.tasking import (
     TaskGraph,
-    bind_interpreter_actions,
-    execute,
     hybrid_task_graph,
     intra_block_edges,
     simulate,
 )
 from repro.workloads import TABLE9, MatmulKernel
+from tests.conftest import run_blocks
 
 
 class TestIntraBlockEdges:
@@ -48,8 +47,7 @@ class TestCorrectness:
         graph = hybrid_task_graph(interp.scop, info)
         seq = interp.run_sequential(interp.new_store())
         par = interp.new_store()
-        bind_interpreter_actions(graph, interp, par)
-        execute(graph, workers=4)
+        run_blocks(graph, interp, par)
         assert seq.equal(par)
 
     @pytest.mark.parametrize("name", ["P1", "P5"])
@@ -59,8 +57,7 @@ class TestCorrectness:
         graph = hybrid_task_graph(interp.scop, info)
         seq = interp.run_sequential(interp.new_store())
         par = interp.new_store()
-        bind_interpreter_actions(graph, interp, par)
-        execute(graph, workers=4)
+        run_blocks(graph, interp, par)
         assert seq.equal(par)
 
     def test_hybrid_with_coarsening(self):

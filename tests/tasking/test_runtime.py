@@ -1,81 +1,79 @@
-"""Tests for the threaded task runtime."""
+"""Tests for ``run_graph``: a task graph on the work-stealing scheduler."""
 
 import threading
 import time
 
 import pytest
 
-from repro.tasking import (
-    TaskGraph,
-    TaskRuntimeError,
-    bind_interpreter_actions,
-    execute,
-)
+from repro.tasking import CyclicTaskGraphError, TaskGraph, run_graph
+from tests.conftest import run_blocks
 
 
 def record_graph(edges, n):
-    """Graph whose tasks append their id to a shared list."""
+    """Graph of ``n`` tasks plus a body that appends each task id to a log."""
     g = TaskGraph()
-    log: list[int] = []
-    lock = threading.Lock()
     for k in range(n):
-        def action(k=k):
-            with lock:
-                log.append(k)
-        g.add_task("S", k, action=action)
+        g.add_task("S", k)
     for a, b in edges:
         g.add_edge(a, b)
-    return g, log
+    log: list[int] = []
+    lock = threading.Lock()
+
+    def body(task):
+        with lock:
+            log.append(task.task_id)
+
+    return g, body, log
 
 
 class TestExecution:
     def test_all_tasks_run_once(self):
-        g, log = record_graph([(0, 1), (1, 2), (0, 3)], 4)
-        result = execute(g, workers=3)
-        assert result.ok
+        g, body, log = record_graph([(0, 1), (1, 2), (0, 3)], 4)
+        stats = run_graph(g, body, workers=3)
         assert sorted(log) == [0, 1, 2, 3]
-        assert sorted(result.completion_order) == [0, 1, 2, 3]
+        assert stats["tasks"] == 4 and stats["policy"] == "work-stealing"
 
     def test_precedence_respected_in_log(self):
         edges = [(0, 2), (1, 2), (2, 3), (2, 4)]
         for _ in range(5):  # scheduling is nondeterministic: repeat
-            g, log = record_graph(edges, 5)
-            execute(g, workers=4)
+            g, body, log = record_graph(edges, 5)
+            run_graph(g, body, workers=4)
             pos = {t: k for k, t in enumerate(log)}
             for a, b in edges:
                 assert pos[a] < pos[b]
 
     def test_single_worker(self):
-        g, log = record_graph([(0, 1)], 2)
-        execute(g, workers=1)
+        g, body, log = record_graph([(0, 1)], 2)
+        assert run_graph(g, body, workers=1)["workers"] == 1
         assert log == [0, 1]
 
     def test_empty_graph(self):
-        result = execute(TaskGraph(), workers=2)
-        assert result.ok and result.completion_order == ()
+        ran = []
+        stats = run_graph(TaskGraph(), ran.append, workers=2)
+        assert ran == [] and stats["tasks"] == 0
 
     def test_tasks_without_actions_complete(self):
+        """A no-op body still completes every task across an edge."""
         g = TaskGraph()
         a = g.add_task("A", 0)
         b = g.add_task("B", 0)
         g.add_edge(a, b)
-        assert execute(g, workers=2).ok
+        assert run_graph(g, lambda task: None, workers=2)["tasks"] == 2
 
     def test_concurrency_actually_happens(self):
         """Two independent sleeping tasks overlap on two workers."""
         g = TaskGraph()
+        g.add_task("A", 0)
+        g.add_task("B", 0)
         span = {}
 
-        def sleeper(k):
-            def action():
-                span[k] = (time.monotonic(),)
-                time.sleep(0.05)
-                span[k] += (time.monotonic(),)
-            return action
+        def sleeper(task):
+            k = task.task_id
+            span[k] = (time.monotonic(),)
+            time.sleep(0.05)
+            span[k] += (time.monotonic(),)
 
-        g.add_task("A", 0, action=sleeper(0))
-        g.add_task("B", 0, action=sleeper(1))
-        execute(g, workers=2)
+        run_graph(g, sleeper, workers=2)
         s0, f0 = span[0]
         s1, f1 = span[1]
         assert s0 < f1 and s1 < f0  # overlapping intervals
@@ -83,28 +81,43 @@ class TestExecution:
 
 class TestErrors:
     def test_failing_task_raises(self):
+        """The task's own exception re-raises once every worker joined;
+        its dependents never run and no scheduler thread outlives the call."""
         g = TaskGraph()
+        a = g.add_task("A", 0)
+        b = g.add_task("B", 0)
+        g.add_task("C", 0)
+        g.add_edge(a, b)
+        ran = []
 
-        def boom():
-            raise RuntimeError("kaboom")
+        def body(task):
+            if task.task_id == a:
+                raise KeyError("kaboom")
+            ran.append(task.task_id)
 
-        g.add_task("A", 0, action=boom)
-        with pytest.raises(TaskRuntimeError, match="kaboom"):
-            execute(g, workers=2)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="kaboom"):
+            run_graph(g, body, workers=2)
+        assert b not in ran
+        assert threading.active_count() == before
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("repro-ws-")
+        ]
 
     def test_cycle_rejected_before_running(self):
-        from repro.tasking import CyclicTaskGraphError
-
         g = TaskGraph()
         a, b = g.add_task("A", 0), g.add_task("B", 0)
+        g.add_task("C", 0)
         g.add_edge(a, b)
         g.add_edge(b, a)
+        ran = []
         with pytest.raises(CyclicTaskGraphError):
-            execute(g, workers=1)
+            run_graph(g, ran.append, workers=1)
+        assert ran == []  # not even the independent task C
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
-            execute(TaskGraph(), workers=0)
+            run_graph(TaskGraph(), lambda task: None, workers=0)
 
 
 class TestInterpreterBinding:
@@ -117,8 +130,7 @@ class TestInterpreterBinding:
         graph = TaskGraph.from_task_ast(generate_task_ast(info))
         store = interp.new_store()
         before = store["A"].data.copy()
-        bind_interpreter_actions(graph, interp, store)
-        execute(graph, workers=2)
+        run_blocks(graph, interp, store, workers=2)
         assert not (store["A"].data == before).all()
 
     def test_repeated_runs_deterministic(self, listing1_interp):
@@ -131,8 +143,7 @@ class TestInterpreterBinding:
         for _ in range(3):
             graph = TaskGraph.from_task_ast(generate_task_ast(info))
             store = interp.new_store()
-            bind_interpreter_actions(graph, interp, store)
-            execute(graph, workers=4)
+            run_blocks(graph, interp, store, workers=4)
             stores.append(store)
         assert stores[0].equal(stores[1])
         assert stores[1].equal(stores[2])

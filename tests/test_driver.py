@@ -35,6 +35,25 @@ class TestDefaults:
         assert len(result.task_ast.all_blocks()) == result.num_tasks
         assert len(list(result.schedule.walk())) > 5
 
+    def test_verified_graph_pickles(self):
+        """Verification leaves nothing bound to its store on the graph."""
+        import pickle
+
+        import numpy as np
+
+        from repro.workloads import TABLE9
+
+        result = transform(TABLE9["P3"].source(8))
+        assert result.verified is True
+        graph = result.graph
+        back = pickle.loads(pickle.dumps(graph))
+        assert [(t.task_id, t.statement, t.block_id, t.cost) for t in back] == [
+            (t.task_id, t.statement, t.block_id, t.cost) for t in graph
+        ]
+        for a, b in zip(graph, back):
+            assert np.array_equal(a.block.iterations, b.block.iterations)
+        assert back.preds == graph.preds and back.succs == graph.succs
+
 
 class TestOptions:
     def test_skip_checks(self):

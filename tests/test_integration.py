@@ -1,9 +1,9 @@
 """End-to-end integration tests: the full stack on the paper's kernels.
 
 Each test runs frontend → SCoP → Algorithm 1 → Algorithm 2 → task AST →
-task graph → execution, and compares the pipelined result (threaded
-runtime or generated CreateTask program) bit-for-bit against the
-sequential interpreter.
+task graph → execution, and compares the pipelined result (``run_graph``
+on the work-stealing scheduler or the generated CreateTask program)
+bit-for-bit against the sequential interpreter.
 """
 
 import pytest
@@ -13,14 +13,9 @@ from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
 from repro.schedule import build_schedule, generate_task_ast
 from repro.scop import DepKind
-from repro.tasking import (
-    TaskGraph,
-    bind_interpreter_actions,
-    execute,
-    simulate,
-)
+from repro.tasking import TaskGraph, simulate
 from repro.workloads import TABLE9, MatmulKernel
-from tests.conftest import LISTING1, LISTING3
+from tests.conftest import LISTING1, LISTING3, run_blocks
 
 
 def pipeline_roundtrip(interp: Interpreter, workers: int = 4, **detect_kw):
@@ -28,8 +23,7 @@ def pipeline_roundtrip(interp: Interpreter, workers: int = 4, **detect_kw):
     graph = TaskGraph.from_task_ast(generate_task_ast(info))
     seq = interp.run_sequential(interp.new_store())
     par = interp.new_store()
-    bind_interpreter_actions(graph, interp, par)
-    execute(graph, workers=workers)
+    run_blocks(graph, interp, par, workers=workers)
     return seq, par, info, graph
 
 
@@ -82,8 +76,8 @@ class TestGeneratedCode:
         info = detect_pipeline(interp.scop)
         seq = interp.run_sequential(interp.new_store())
         store = interp.new_store()
-        _, _, result = run_generated(info, interp, store, workers=4)
-        assert result.ok and seq.equal(store)
+        _, system, stats = run_generated(info, interp, store, workers=4)
+        assert stats["tasks"] == len(system) and seq.equal(store)
 
 
 class TestScheduleTreeConsistency:
