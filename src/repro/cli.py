@@ -291,7 +291,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"{sc.get('misses', 0)} miss(es), "
                 f"{sc.get('puts', 0)} put(s), "
                 f"{sc.get('corrupt', 0)} corrupt, "
-                f"{sc.get('replay_failures', 0)} replay failure(s)"
+                f"{sc.get('replay_failures', 0)} replay failure(s), "
+                f"{sc.get('put_failures', 0)} put failure(s)"
             )
         print()
         print("metrics registry:")

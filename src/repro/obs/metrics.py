@@ -407,11 +407,11 @@ def absorb_artifact_store(
         from ..store import session_counters
 
         counters = session_counters()
-    for name in ("hits", "misses", "puts", "evictions", "corrupt"):
+    for name in (
+        "hits", "misses", "puts", "evictions", "corrupt",
+        "replay_failures", "put_failures",
+    ):
         reg.counter(f"store.{name}", counters.get(name, 0))
-    reg.counter(
-        "store.replay_failures", counters.get("replay_failures", 0)
-    )
     looked = counters.get("hits", 0) + counters.get("misses", 0)
     if looked:
         reg.gauge(

@@ -136,7 +136,7 @@ class Blocking:
         return coarse
 
     def to_dict(self) -> dict:
-        """JSON-ready form for the durable artifact store."""
+        """Plain-data form (int64 arrays inline) for the artifact store."""
         return {
             "statement": self.statement,
             "mapping": self.mapping.to_dict(),

@@ -40,7 +40,7 @@ class BlockDependency:
     relation: PointRelation
 
     def to_dict(self) -> dict:
-        """JSON-ready form for the durable artifact store."""
+        """Plain-data form (int64 arrays inline) for the artifact store."""
         return {
             "source": self.source,
             "target": self.target,

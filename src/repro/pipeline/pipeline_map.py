@@ -47,7 +47,7 @@ class PipelineMap:
         return self.relation
 
     def to_dict(self) -> dict:
-        """JSON-ready form for the durable artifact store."""
+        """Plain-data form (int64 arrays inline) for the artifact store."""
         return {
             "source": self.source,
             "target": self.target,

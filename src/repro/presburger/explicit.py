@@ -215,8 +215,8 @@ class PointSet:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready form (``ndim`` kept so empty sets round-trip)."""
-        return {"ndim": self.ndim, "points": self.points.tolist()}
+        """Codec-ready form: the int64 ``points`` array, and ``ndim``."""
+        return {"ndim": self.ndim, "points": self.points}
 
     @staticmethod
     def from_dict(d: dict) -> "PointSet":
@@ -339,12 +339,8 @@ class PointRelation:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready form (arities kept so empty relations round-trip)."""
-        return {
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "pairs": self.pairs.tolist(),
-        }
+        """Codec-ready form: the int64 ``pairs`` array, and both arities."""
+        return {"n_in": self.n_in, "n_out": self.n_out, "pairs": self.pairs}
 
     @staticmethod
     def from_dict(d: dict) -> "PointRelation":

@@ -4,47 +4,31 @@ The pipeline analysis is a compile-time pass; for large instantiations it
 is worth caching.  A :class:`~repro.schedule.astgen.TaskAst` is fully
 self-contained (blocks, iterations, dependency tokens), so saving it is
 enough to rebuild task graphs and run/simulate later without re-running
-Algorithm 1.  Two containers share one packed layout:
+Algorithm 1.  :func:`task_ast_to_dict` packs it into a document that
+the artifact store embeds and that :func:`save_task_ast` writes, both
+through the data-only container of :mod:`repro.store.codec`.
 
-* ``save_task_ast`` / ``load_task_ast`` — a single ``.npz`` file
-  (NumPy arrays for the bulk, a JSON header for the structure);
-* ``dumps_task_ast`` / ``loads_task_ast`` — an in-memory blob for the
-  artifact store: zlib-compressed pickle of the same packed arrays,
-  *without* the zip container (``np.load`` drags in ``zipfile`` +
-  ``pathlib``, ~10ms of import cost in a fresh warm-serving process).
-
-The packed layout (format version 2) differs from version 1 in two ways
-that matter at thousands of blocks:
+The packed layout (format version 2):
 
 * every block's iteration array lives in ONE flat ``int64`` array plus
-  a ``(n_blocks, 2)`` shape table — version 1 stored one npz member per
-  block, and the per-member zip open/decompress overhead dominated warm
-  artifact-store loads;
+  a ``(n_blocks, 2)`` shape table;
 * ``in_tokens`` are stored as integer indices into the global block
   list (a consumed token is some producer block's ``out_token``), not
   as literal ``[statement, end]`` pairs — smaller header, shared tuple
   objects on load.  Tokens produced by no block (defensive case) are
   kept literally in ``"in_extra"``.
 
-Loaded iteration arrays view into the flat array (no copy).  Version-1
-``.npz`` files and blobs are still read.
+Loaded iteration arrays are read-only views into the flat array.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import pickle
-import zlib
-
 import numpy as np
 
+from ..store.codec import ArtifactCorruptError, decode, encode
 from .astgen import TaskAst, TaskBlock, TaskLoopNest
 
 FORMAT_VERSION = 2
-
-#: magic prefix of the in-memory blob container (zip-free pickle)
-BLOB_MAGIC = b"RPTAST2\x00"
 
 
 # ----------------------------------------------------------------------
@@ -143,77 +127,31 @@ def _unpack(header: dict, flat: np.ndarray, shapes: np.ndarray) -> TaskAst:
 
 
 # ----------------------------------------------------------------------
-# file container (.npz)
+# document and file forms
 # ----------------------------------------------------------------------
-def save_task_ast(path: str, ast: TaskAst) -> None:
-    """Write a task AST to ``path`` (``.npz``, format version 2)."""
+def task_ast_to_dict(ast: TaskAst) -> dict:
+    """Task AST -> codec document: the packed header plus its arrays."""
     header, flat, shapes = _pack(ast)
-    np.savez_compressed(
-        path,
-        __header__=np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ),
-        flat=flat,
-        shapes=shapes,
-    )
+    return {"header": header, "flat": flat, "shapes": shapes}
+
+
+def task_ast_from_dict(doc: dict) -> TaskAst:
+    """Inverse of :func:`task_ast_to_dict`; checks the format version."""
+    version = doc["header"].get("version")
+    if version != FORMAT_VERSION:
+        raise ArtifactCorruptError(
+            f"unsupported task-AST format version {version!r}"
+        )
+    return _unpack(doc["header"], doc["flat"], doc["shapes"])
+
+
+def save_task_ast(path: str, ast: TaskAst) -> None:
+    """Write a task AST to ``path`` (one codec container)."""
+    with open(path, "wb") as fh:
+        fh.write(encode(task_ast_to_dict(ast)))
 
 
 def load_task_ast(path: str) -> TaskAst:
-    """Read a task AST written by :func:`save_task_ast` (version 1 or 2)."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        version = header.get("version")
-        if version == 1:
-            return _load_v1(header, data)
-        if version == FORMAT_VERSION:
-            return _unpack(header, data["flat"], data["shapes"])
-        raise ValueError(f"unsupported task-AST format version {version}")
-
-
-def _load_v1(header: dict, data) -> TaskAst:
-    """Version-1 layout: one npz member per block (slow, kept readable)."""
-    nests: list[TaskLoopNest] = []
-    for nest_rec in header["nests"]:
-        statement = nest_rec["statement"]
-        blocks: list[TaskBlock] = []
-        for rec in nest_rec["blocks"]:
-            iters = np.asarray(data[rec["iters"]], dtype=np.int64)
-            end = tuple(int(v) for v in rec["end"])
-            blocks.append(
-                TaskBlock(
-                    statement=statement,
-                    block_id=int(rec["block_id"]),
-                    end=end,
-                    iterations=iters,
-                    in_tokens=tuple(
-                        (stmt, tuple(int(v) for v in e))
-                        for stmt, e in rec["in_tokens"]
-                    ),
-                    out_token=(statement, end),
-                )
-            )
-        nests.append(
-            TaskLoopNest(statement, int(nest_rec["depth"]), tuple(blocks))
-        )
-    return TaskAst(tuple(nests))
-
-
-# ----------------------------------------------------------------------
-# in-memory container (artifact-store blobs)
-# ----------------------------------------------------------------------
-def dumps_task_ast(ast: TaskAst) -> bytes:
-    """Task AST -> bytes, the artifact-store blob (zip-free)."""
-    header, flat, shapes = _pack(ast)
-    doc = {"header": header, "flat": flat, "shapes": shapes}
-    return BLOB_MAGIC + zlib.compress(
-        pickle.dumps(doc, protocol=4), level=1
-    )
-
-
-def loads_task_ast(blob: bytes) -> TaskAst:
-    """Inverse of :func:`dumps_task_ast`; also reads v1 ``.npz`` blobs."""
-    if blob.startswith(BLOB_MAGIC):
-        doc = pickle.loads(zlib.decompress(blob[len(BLOB_MAGIC) :]))
-        return _unpack(doc["header"], doc["flat"], doc["shapes"])
-    # historical blobs were whole .npz files (zip container)
-    return load_task_ast(io.BytesIO(blob))  # type: ignore[arg-type]
+    """Read a task AST written by :func:`save_task_ast`."""
+    with open(path, "rb") as fh:
+        return task_ast_from_dict(decode(fh.read()))

@@ -9,7 +9,7 @@ kernel source text and the options, it either
   proof through :func:`repro.schedule.legality.verify_privatization`
   (via ``plan_from_proofs``); or
 * **cold** — runs :func:`repro.driver.analyze` and persists its outputs
-  as one checksummed artifact.
+  as one checksummed artifact (if the store can take it).
 
 A warm replay that fails for *any* reason (schema drift, a tampered
 proof, an info dict that no longer matches the SCoP) is demoted to a
@@ -83,7 +83,7 @@ def build_artifact(
     timings: Mapping[str, float] | None = None,
 ) -> CompileArtifact:
     """Serialize one compile's outputs into a store artifact."""
-    from ..schedule.serialize import dumps_task_ast
+    from ..schedule.serialize import task_ast_to_dict
 
     fused = None
     if options.fuse != "off":
@@ -114,7 +114,7 @@ def build_artifact(
         params=dict(params),
         options_fingerprint=options_fingerprint(options),
         info=analysis.info.to_dict(),
-        task_ast_blob=dumps_task_ast(analysis.task_ast),
+        task_ast=task_ast_to_dict(analysis.task_ast),
         fused=fused,
         proofs=proofs,
         privatized=analysis.privatized,
@@ -144,12 +144,12 @@ def load_analysis(
     from ..interp.fused import FusedProgram
     from ..pipeline.detect import PipelineInfo
     from ..schedule import build_schedule
-    from ..schedule.serialize import loads_task_ast
+    from ..schedule.serialize import task_ast_from_dict
     from ..tasking import TaskGraph, hybrid_task_graph
 
     scop = interp.scop
     info = PipelineInfo.from_dict(scop, artifact.info)
-    task_ast = loads_task_ast(artifact.task_ast_blob)
+    task_ast = task_ast_from_dict(artifact.task_ast)
     schedule = build_schedule(info)
 
     if artifact.fused is not None and options.fuse != "off":
@@ -236,13 +236,16 @@ def cached_analysis(
         t0 = time.perf_counter()
         analysis = analyze(interp, options)
         elapsed = time.perf_counter() - t0
-        store.put(
-            key,
-            build_artifact(
-                interp, source, params, options, analysis,
-                timings={"analyze_s": elapsed},
-            ),
+        artifact = build_artifact(
+            interp, source, params, options, analysis,
+            timings={"analyze_s": elapsed},
         )
+        try:
+            store.put(key, artifact)
+        except OSError as exc:
+            # an unwritable or full store costs the cache, not the compile
+            bump_session("put_failures")
+            sp.set(put_failed=type(exc).__name__)
         analysis.cache_status = "cold"
         sp.set(status="cold", analyze_s=round(elapsed, 6))
         return analysis, "cold"

@@ -12,8 +12,8 @@ so any later process — a CLI invocation, a ``repro serve`` worker, CI —
 can answer an identical compile request from disk instead of re-running
 Algorithm 1.  Loads re-verify what must not be trusted (privatization
 proofs go through :func:`repro.schedule.legality.verify_privatization`
-again); corrupted or truncated files are detected by checksum and
-treated as misses, never crashes.
+again); damaged or malformed files fail the data-only :mod:`.codec`
+and are treated as misses, never crashes.
 """
 
 from .artifact import ArtifactCorruptError, CompileArtifact

@@ -1,41 +1,38 @@
 """The artifact payload: one compile's outputs, checksummed on disk.
 
-File layout (everything after the header is one pickle)::
-
-    bytes 0..7    MAGIC  b"RPASTOR\\x01"
-    bytes 8..39   SHA-256 of the payload bytes
-    bytes 40..    payload: pickle of ``CompileArtifact.to_payload()``
-
-The checksum makes truncation and bit-rot *detectable before unpickling*
-— a corrupted file raises :class:`ArtifactCorruptError`, which the store
-turns into a miss (recompile), never a crash or a poisoned unpickle.
-
-The payload itself is plain data: explicit-relation dicts for the
-pipeline info, the compressed ``.npz`` task-AST blob of
-:mod:`repro.schedule.serialize`, declarative ``ClosureSpec`` dicts for
-the fused program, and privatization-proof dicts that loaders MUST pass
-back through :func:`repro.schedule.legality.verify_privatization` (the
+An ``.rpa`` file is one :mod:`repro.store.codec` container holding
+``CompileArtifact.to_payload()``: plain data and int64 arrays only.
+Privatization proofs in it MUST go back through
+:func:`repro.schedule.legality.verify_privatization` on load (the
 store is durable, not trusted).
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
+from .codec import ArtifactCorruptError, decode, encode
 from .keys import SCHEMA_VERSION
 
-MAGIC = b"RPASTOR\x01"
-_SHA_LEN = 32
+#: every payload field and the type(s) a loadable artifact must carry
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "key": str,
+    "kernel_sha": str,
+    "params": dict,
+    "options_fingerprint": str,
+    "info": dict,
+    "task_ast": dict,
+    "fused": (dict, type(None)),
+    "proofs": list,
+    "privatized": bool,
+    "legality_ok": (bool, type(None)),
+    "diagnostics": list,
+    "timings": dict,
+}
 
 
-class ArtifactCorruptError(ValueError):
-    """The on-disk artifact bytes fail the integrity checks."""
-
-
-@dataclass
+@dataclass(eq=False)
 class CompileArtifact:
     """Serialized outputs of one compile, addressed by ``key``."""
 
@@ -45,8 +42,8 @@ class CompileArtifact:
     options_fingerprint: str
     #: explicit-relation dict of :class:`repro.pipeline.PipelineInfo`
     info: dict
-    #: compressed npz blob of the task AST (schedule tree already lowered)
-    task_ast_blob: bytes
+    #: ``repro.schedule.serialize.task_ast_to_dict`` of the task AST
+    task_ast: dict
     #: ``FusedProgram.to_dict()`` — ClosureSpec corpus + chains (None
     #: when the compile ran with fusion off)
     fused: dict | None = None
@@ -62,77 +59,46 @@ class CompileArtifact:
     diagnostics: list[dict] = field(default_factory=list)
     #: wall seconds of the cold compile phases
     timings: dict[str, float] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when both would be written as the same file bytes."""
+        if not isinstance(other, CompileArtifact):
+            return NotImplemented
+        return pack_artifact(self) == pack_artifact(other)
 
     def to_payload(self) -> dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
-            "key": self.key,
-            "kernel_sha": self.kernel_sha,
-            "params": dict(self.params),
-            "options_fingerprint": self.options_fingerprint,
-            "info": self.info,
-            "task_ast_blob": self.task_ast_blob,
-            "fused": self.fused,
-            "proofs": list(self.proofs),
-            "privatized": self.privatized,
-            "legality_ok": self.legality_ok,
-            "diagnostics": list(self.diagnostics),
-            "timings": dict(self.timings),
+            "schema_version": SCHEMA_VERSION,
+            **{name: getattr(self, name) for name in _FIELD_TYPES},
         }
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "CompileArtifact":
+        """Payload -> artifact; every field must be present and typed."""
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ArtifactCorruptError(
                 f"artifact schema version {version!r} != {SCHEMA_VERSION}"
             )
-        return cls(
-            key=payload["key"],
-            kernel_sha=payload["kernel_sha"],
-            params=dict(payload["params"]),
-            options_fingerprint=payload["options_fingerprint"],
-            info=payload["info"],
-            task_ast_blob=payload["task_ast_blob"],
-            fused=payload.get("fused"),
-            proofs=list(payload.get("proofs", ())),
-            privatized=bool(payload.get("privatized", False)),
-            legality_ok=payload.get("legality_ok"),
-            diagnostics=list(payload.get("diagnostics", ())),
-            timings=dict(payload.get("timings", ())),
-            schema_version=version,
-        )
+        for name, types in _FIELD_TYPES.items():
+            if name not in payload:
+                raise ArtifactCorruptError(f"artifact lacks field {name!r}")
+            if not isinstance(payload[name], types):
+                raise ArtifactCorruptError(
+                    f"artifact field {name!r} is a "
+                    f"{type(payload[name]).__name__}"
+                )
+        return cls(**{name: payload[name] for name in _FIELD_TYPES})
 
 
 def pack_artifact(artifact: CompileArtifact) -> bytes:
     """Artifact -> checksummed bytes (the on-disk file content)."""
-    payload = pickle.dumps(artifact.to_payload(), protocol=4)
-    digest = hashlib.sha256(payload).digest()
-    return MAGIC + digest + payload
+    return encode(artifact.to_payload())
 
 
 def unpack_artifact(data: bytes) -> CompileArtifact:
-    """Checksummed bytes -> artifact; raises :class:`ArtifactCorruptError`.
-
-    Order matters: magic, length, checksum are all verified *before*
-    ``pickle.loads`` ever sees the payload.
-    """
-    if len(data) < len(MAGIC) + _SHA_LEN:
-        raise ArtifactCorruptError(
-            f"artifact truncated: {len(data)} bytes is shorter than the "
-            "header"
-        )
-    if data[: len(MAGIC)] != MAGIC:
-        raise ArtifactCorruptError("bad artifact magic")
-    digest = data[len(MAGIC) : len(MAGIC) + _SHA_LEN]
-    payload = data[len(MAGIC) + _SHA_LEN :]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ArtifactCorruptError("artifact payload checksum mismatch")
-    try:
-        doc = pickle.loads(payload)
-    except Exception as exc:  # checksum passed but pickle still broken
-        raise ArtifactCorruptError(f"artifact payload unreadable: {exc}")
+    """Checksummed bytes -> artifact; raises :class:`ArtifactCorruptError`."""
+    doc = decode(data)
     if not isinstance(doc, dict):
         raise ArtifactCorruptError("artifact payload is not a mapping")
     return CompileArtifact.from_payload(doc)

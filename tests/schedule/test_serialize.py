@@ -5,13 +5,10 @@ import pytest
 
 from repro.interp import Interpreter
 from repro.pipeline import detect_pipeline
-from repro.schedule import (
-    dumps_task_ast,
-    generate_task_ast,
-    load_task_ast,
-    loads_task_ast,
-    save_task_ast,
-)
+from repro.schedule import generate_task_ast, load_task_ast, save_task_ast
+from repro.schedule.serialize import task_ast_from_dict, task_ast_to_dict
+from repro.store import ArtifactCorruptError
+from repro.store.codec import decode, encode
 from repro.tasking import TaskGraph
 from tests.conftest import LISTING1, LISTING3, run_blocks
 
@@ -25,7 +22,7 @@ def make_ast(source, params):
 class TestRoundTrip:
     def test_file_roundtrip(self, tmp_path):
         _, ast = make_ast(LISTING3, {"N": 12})
-        path = str(tmp_path / "ast.npz")
+        path = str(tmp_path / "ast.rpt")
         save_task_ast(path, ast)
         back = load_task_ast(path)
         assert [n.statement for n in back.nests] == [
@@ -39,14 +36,19 @@ class TestRoundTrip:
             assert np.array_equal(a.iterations, b.iterations)
 
     def test_bytes_roundtrip(self):
+        """The in-artifact document survives the codec's bytes."""
         _, ast = make_ast(LISTING1, {"N": 10})
-        back = loads_task_ast(dumps_task_ast(ast))
+        back = task_ast_from_dict(decode(encode(task_ast_to_dict(ast))))
         assert len(back.all_blocks()) == len(ast.all_blocks())
+        for a, b in zip(ast.all_blocks(), back.all_blocks()):
+            assert a.in_tokens == b.in_tokens
+            assert np.array_equal(a.iterations, b.iterations)
+            assert not b.iterations.flags.writeable
 
     def test_loaded_ast_executes_correctly(self, tmp_path):
         """Task graphs built from a loaded AST reproduce the kernel."""
         interp, ast = make_ast(LISTING1, {"N": 12})
-        path = str(tmp_path / "ast.npz")
+        path = str(tmp_path / "ast.rpt")
         save_task_ast(path, ast)
         graph = TaskGraph.from_task_ast(load_task_ast(path))
         seq = interp.run_sequential(interp.new_store())
@@ -55,14 +57,21 @@ class TestRoundTrip:
         assert seq.equal(par)
 
     def test_version_checked(self, tmp_path):
-        import json
-
-        import numpy as np
-
-        path = str(tmp_path / "bad.npz")
-        header = np.frombuffer(
-            json.dumps({"version": 99, "nests": []}).encode(), dtype=np.uint8
-        )
-        np.savez(path, __header__=header)
+        path = str(tmp_path / "bad.rpt")
+        doc = {
+            "header": {"version": 99, "nests": []},
+            "flat": np.zeros(0, dtype=np.int64),
+            "shapes": np.zeros((0, 2), dtype=np.int64),
+        }
+        with open(path, "wb") as fh:
+            fh.write(encode(doc))
         with pytest.raises(ValueError, match="version"):
+            load_task_ast(path)
+
+    def test_npz_container_is_not_read(self, tmp_path):
+        """The zip container and its readers are gone: an ``.npz`` file
+        is rejected by the codec's magic, never opened as a zip."""
+        path = str(tmp_path / "old.npz")
+        np.savez(path, flat=np.arange(4))
+        with pytest.raises(ArtifactCorruptError, match="magic"):
             load_task_ast(path)

@@ -202,3 +202,43 @@ def test_pack_round_trip_preserves_proofs(tmp_path):
     art = store.get(key)
     assert art.privatized and art.proofs
     assert unpack_artifact(pack_artifact(art)) == art
+
+
+# ----------------------------------------------------------------------
+# an unwritable store costs the cache, never the compile
+# ----------------------------------------------------------------------
+def test_failing_put_answers_cold_uncached(tmp_path):
+    from repro.obs.metrics import MetricsRegistry, absorb_artifact_store
+
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("a regular file where the store root should be")
+    store = ArtifactStore(str(blocker / "store"))
+    opts = _options()
+    before = session_counters().get("put_failures", 0)
+    for _ in range(2):  # nothing was cached, so both are cold
+        _, analysis, status = _compile(TWO_NEST_COPY, {"N": 8}, opts, store)
+        assert status == "cold"
+        assert analysis.cache_status == "cold"
+        assert len(analysis.graph) > 0
+    assert session_counters().get("put_failures", 0) == before + 2
+    assert store.counters["puts"] == 0
+    reg = MetricsRegistry()
+    absorb_artifact_store(reg)
+    assert reg.value("store.put_failures") == before + 2
+
+
+def test_analyze_stats_reports_put_failures(tmp_path, capsys):
+    from repro.cli import main
+
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    kernel = tmp_path / "k.c"
+    kernel.write_text(TWO_NEST_COPY)
+    code = main([
+        "analyze", str(kernel), "--param", "N=8", "--stats",
+        "--cache-dir", str(blocker / "store"),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "compile cache: cold" in out
+    assert "put failure(s)" in out

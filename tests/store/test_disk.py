@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.store import (
@@ -13,17 +15,22 @@ from repro.store import (
     CompileArtifact,
     default_cache_dir,
 )
-from repro.store.artifact import MAGIC, pack_artifact, unpack_artifact
+from repro.store.artifact import pack_artifact, unpack_artifact
+from repro.store.codec import MAGIC, encode
 
 
-def _artifact(key: str = "ab" * 32, payload_pad: bytes = b"") -> CompileArtifact:
+def _artifact(key: str = "ab" * 32) -> CompileArtifact:
     return CompileArtifact(
         key=key,
         kernel_sha="cd" * 32,
         params={"N": 8},
         options_fingerprint="ef" * 32,
-        info={"statements": ["S"]},
-        task_ast_blob=b"npz-blob" + payload_pad,
+        info={"points": np.arange(12, dtype=np.int64).reshape(6, 2) - 3},
+        task_ast={
+            "header": {"version": 2, "nests": []},
+            "flat": np.arange(5, dtype=np.int64),
+            "shapes": np.zeros((0, 2), dtype=np.int64),
+        },
         diagnostics=[{"code": "RPA001", "severity": "note", "text": "hi"}],
         timings={"analyze_s": 0.25},
     )
@@ -52,18 +59,21 @@ def test_unpack_rejects_damaged_bytes(mutate):
 
 
 def test_unpack_never_unpickles_unchecksummed_bytes():
-    """A swapped-in pickle with a stale checksum must be rejected *before*
-    pickle.loads runs (the checksum guards the deserializer)."""
+    """A swapped-in pickle must be rejected without pickle.loads ever
+    running — with a stale checksum, and with a valid one (whoever can
+    write the file can also write a matching checksum)."""
     _PICKLE_PROBE.clear()
     evil = pickle.dumps(_Probe())
     assert not _PICKLE_PROBE, "probe must only fire on load"
+    framed = len(evil).to_bytes(8, "little") + evil
     data = pack_artifact(_artifact())
-    tampered = data[: len(MAGIC) + 32] + evil  # stale digest, new payload
+    tampered = data[: len(MAGIC) + 32] + framed  # stale digest
     with pytest.raises(ArtifactCorruptError, match="checksum"):
         unpack_artifact(tampered)
-    assert not _PICKLE_PROBE, (
-        "pickle.loads ran on a payload whose checksum did not match"
-    )
+    for body in (evil, framed):  # re-signed: the checksum matches
+        with pytest.raises(ArtifactCorruptError):
+            unpack_artifact(MAGIC + hashlib.sha256(body).digest() + body)
+    assert not _PICKLE_PROBE, "pickle.loads ran on bytes read from disk"
 
 
 #: appended to iff a _Probe pickle is ever *loaded* (not dumped)
@@ -184,13 +194,81 @@ def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     assert default_cache_dir().endswith(os.path.join("repro", "artifacts"))
 
 
-def test_schema_version_bump_reads_as_corrupt(tmp_path):
+def test_schema_version_bump_reads_as_corrupt():
+    payload = _artifact().to_payload()
+    payload["schema_version"] = 999
+    with pytest.raises(ArtifactCorruptError, match="schema"):
+        unpack_artifact(encode(payload))
+
+
+def test_encode_refuses_what_int64_cannot_hold():
+    for value in (np.zeros(2), np.array([2**63], dtype=np.uint64), {1, 2}):
+        with pytest.raises(TypeError):
+            encode({"x": value})
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("key", _MISSING),
+        ("task_ast", _MISSING),
+        ("proofs", _MISSING),
+        ("key", 7),
+        ("info", ["not", "a", "dict"]),
+        ("privatized", "yes"),
+        ("fused", []),
+    ],
+)
+def test_incomplete_artifact_is_a_counted_miss(tmp_path, name, value):
+    """A correctly signed but incomplete or mistyped document is corrupt:
+    ``get`` deletes it and reports a miss instead of raising."""
+    store = ArtifactStore(str(tmp_path))
     art = _artifact()
     payload = art.to_payload()
-    payload["schema_version"] = 999
-    import hashlib
+    if value is _MISSING:
+        del payload[name]
+    else:
+        payload[name] = value
+    path = store.path_for(art.key)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as fh:
+        fh.write(encode(payload))
+    assert store.get(art.key) is None
+    assert store.counters["corrupt"] == 1
+    assert not os.path.exists(path)
 
-    raw = pickle.dumps(payload, protocol=4)
-    data = MAGIC + hashlib.sha256(raw).digest() + raw
-    with pytest.raises(ArtifactCorruptError, match="schema"):
-        unpack_artifact(data)
+
+def test_pickle_era_artifact_is_a_miss_then_recompiled(tmp_path):
+    """A file in the old pickle layout at a live key reads as corrupt,
+    is never unpickled, and the compile tier recompiles over it."""
+    from repro.driver import TransformOptions
+    from repro.interp import Interpreter
+    from repro.service import cached_analysis
+    from repro.store import artifact_key
+
+    from ..conftest import TWO_NEST_COPY
+
+    params = {"N": 4}
+    opts = TransformOptions(check=False, verify=False, workers=2)
+    store = ArtifactStore(str(tmp_path))
+    key = artifact_key(TWO_NEST_COPY, params, opts)
+    payload = pickle.dumps({"key": key, "probe": _Probe()}, protocol=4)
+    path = store.path_for(key)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as fh:
+        fh.write(
+            b"RPASTOR\x01" + hashlib.sha256(payload).digest() + payload
+        )
+    _PICKLE_PROBE.clear()
+
+    def compile_once():
+        interp = Interpreter.from_source(TWO_NEST_COPY, params)
+        return cached_analysis(interp, TWO_NEST_COPY, params, opts, store)
+
+    assert compile_once()[1] == "cold"
+    assert store.counters["corrupt"] == 1
+    assert not _PICKLE_PROBE
+    assert compile_once()[1] == "warm"
